@@ -27,9 +27,8 @@ from .spaces import (
     ZeroDistance,
     builtin_graph,
     format_metric_csv,
+    load_graph,
     load_space,
-    parse_graph_file,
-    space_from_graph,
 )
 
 EXIT_OK = 0
@@ -47,17 +46,6 @@ def _space_from_args(args):
     if getattr(args, "graph", None):
         return load_space(args.graph, kind="graph")
     raise InputError("one of --graph or --metric is required")
-
-
-def _graph_from_args(args):
-    import os
-
-    if not getattr(args, "graph", None):
-        raise InputError("--graph is required")
-    if os.path.exists(args.graph):
-        with open(args.graph) as fh:
-            return parse_graph_file(fh.read())
-    return builtin_graph(args.graph)
 
 
 def _emit(text: str, out_path):
@@ -152,7 +140,9 @@ def _report(ok: bool, doc: dict, failures) -> int:
 
 def cmd_verify(args) -> int:
     if args.check == "diagonal":
-        graph = _graph_from_args(args)
+        if not args.graph:
+            raise InputError("--graph is required")
+        graph = load_graph(args.graph)
         if args.lmax is None:
             raise InputError("verify diagonal needs --lmax")
         lmax = int(args.lmax)
@@ -305,6 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("kmax", "lmax"):
+            value = getattr(args, flag, None)
+            if value is not None and Fraction(value) < 0:
+                raise InputError(f"--{flag} must be nonnegative, got {value}")
         return args.fn(args)
     except (InputError, InvalidSpace, posets.InvalidPoset, ZeroDistance) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,11 @@ bit-for-bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
-from .rationals import ExtendedRational, INF
+from .rationals import ExtendedRational
 from .snf import SparseMatrix
-from .spaces import QuasiMetricSpace, ZeroDistance
+from .spaces import QuasiMetricSpace
 
 
 class NotNonIncreasing(ValueError):
@@ -39,40 +40,32 @@ def enumerate_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> list:
         return []
     if k == 0:
         return [(x,) for x in range(space.n)] if l == 0 else []
-    # smallest possible step, for budget pruning; zero steps (pseudo spaces)
-    # disable the per-step lower bound
-    finite = space.finite_distances()
-    min_step = finite[0] if finite else None
-    if space.positive_min and min_step is not None and l < k * min_step:
+    budget = space.grade_units(l)
+    # every step costs at least the least step, for budget pruning; zero
+    # steps (pseudo spaces) make that bound 0
+    least = space.min_step or 0
+    if budget is None or budget < k * least:
         return []
+    steps = space.steps
     out = []
     prefix = [0] * (k + 1)
 
-    def extend(pos: int, remaining: Fraction):
-        last = prefix[pos - 1]
-        steps_left = k - pos
-        for y in range(space.n):
-            if y == last:
-                continue
-            d = space.d[last][y]
-            if d.is_infinite:
-                continue
-            rest = remaining - d.value
-            if rest < 0:
-                continue
-            if space.positive_min and min_step is not None and rest < steps_left * min_step:
-                continue
-            if steps_left == 0 and rest != 0:
-                continue
-            prefix[pos] = y
-            if steps_left == 0:
-                out.append(tuple(prefix))
-            else:
-                extend(pos + 1, rest)
+    def extend(pos: int, remaining: int):
+        if pos == k:
+            for y, d in steps[prefix[pos - 1]]:
+                if d == remaining:
+                    prefix[pos] = y
+                    out.append(tuple(prefix))
+            return
+        reserve = (k - pos) * least
+        for y, d in steps[prefix[pos - 1]]:
+            if remaining - d >= reserve:
+                prefix[pos] = y
+                extend(pos + 1, remaining - d)
 
     for x0 in range(space.n):
         prefix[0] = x0
-        extend(1, l)
+        extend(1, budget)
     return out
 
 
@@ -83,14 +76,12 @@ def boundary_entries(space: QuasiMetricSpace, simplex: tuple):
     a face whose dropped point merges two equal neighbours is degenerate and
     contributes nothing (possible only on pseudo spaces).
     """
+    units = space.units
     k = len(simplex) - 1
     for i in range(1, k):
         a, b, c = simplex[i - 1], simplex[i], simplex[i + 1]
-        if space.d[a][c] == space.d[a][b] + space.d[b][c]:
-            if a == c:
-                continue
-            face = simplex[:i] + simplex[i + 1 :]
-            yield face, (-1) ** i
+        if a != c and units[a][c] == units[a][b] + units[b][c]:
+            yield simplex[:i] + simplex[i + 1 :], (-1) ** i
 
 
 def boundary_matrix(
@@ -107,20 +98,6 @@ def boundary_matrix(
             row = codomain_index[face]
             entries[(row, col)] = entries.get((row, col), 0) + sign
     return SparseMatrix.from_entries(len(codomain_index), len(domain), entries)
-
-
-def coboundary_matrix(
-    space: QuasiMetricSpace,
-    k: int,
-    l: Fraction,
-    domain: list,
-    higher_index: dict,
-) -> SparseMatrix:
-    """Matrix of the dual differential on degree-k cochains: the transpose
-    of the boundary from degree k+1 (domain is the degree-k basis)."""
-    higher = sorted(higher_index, key=higher_index.get)
-    index = {s: i for i, s in enumerate(domain)}
-    return boundary_matrix(space, k + 1, l, higher, index).transpose()
 
 
 def induced_chain_map(
@@ -150,7 +127,7 @@ def induced_chain_map(
         image = tuple(f[x] for x in simplex)
         if any(a == b for a, b in zip(image, image[1:])):
             continue
-        if simplex_length(target, image) != ExtendedRational(l):
+        if simplex_length(target, image) != l:
             continue
         entries[(target_index[image], col)] = 1
     return SparseMatrix.from_entries(len(target_index), len(source_basis), entries)
@@ -159,24 +136,20 @@ def induced_chain_map(
 def realizable_grades(space: QuasiMetricSpace, lmax) -> list:
     """All finite sums of distance values up to lmax (the additive closure of
     the finite nonzero distance set, plus 0), sorted and duplicate-free."""
-    lmax = Fraction(lmax)
     if space.n == 0:
         return []
-    if not space.positive_min:
-        for i in range(space.n):
-            for j in range(space.n):
-                if i != j and space.d[i][j].is_zero:
-                    raise ZeroDistance(i, j)
-    values = space.finite_distances()
-    grades = {Fraction(0)}
-    frontier = [Fraction(0)]
+    space.require_positive()
+    top = floor(Fraction(lmax) * space.den)
+    values = sorted({u for row in space.steps for _, u in row})
+    grades = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for g in frontier:
             for v in values:
                 s = g + v
-                if s <= lmax and s not in grades:
+                if s <= top and s not in grades:
                     grades.add(s)
                     nxt.append(s)
         frontier = nxt
-    return sorted(grades)
+    return [Fraction(g, space.den) for g in sorted(grades)]

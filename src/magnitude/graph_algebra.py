@@ -71,22 +71,22 @@ def diagonal_quotient(g: Graph, k: int) -> DiagonalQuotient:
     space = space_from_graph(g)
     paths = edge_paths(g, k)
     index = {p: i for i, p in enumerate(paths)}
-    succ = [g.successors(u) for u in range(g.n)]
-    neighbours = [set(s) for s in succ]
+    neighbours = [set(g.successors(u)) for u in range(g.n)]
+    gaps = _distance2_pairs(space)
     rows = []
     # One relation per context: an edge path broken by a single distance-2
     # gap at position i, summed over all midpoints of the gap.
     for i in range(1, k):
-        prefixes = edge_paths(g, i - 1)
-        suffix_len = k - 1 - i
-        for prefix in prefixes:
+        suffixes = {}
+        for suffix in edge_paths(g, k - 1 - i):
+            suffixes.setdefault(suffix[0], []).append(suffix)
+        for prefix in edge_paths(g, i - 1):
             x = prefix[-1]
-            for (a, z) in _distance2_pairs(space):
+            for (a, z) in gaps:
                 if a != x:
                     continue
                 mids = sorted(neighbours[x] & neighbours[z])
-                suffixes = _paths_from(g, z, suffix_len)
-                for suffix in suffixes:
+                for suffix in suffixes.get(z, ()):
                     row = {}
                     for y in mids:
                         p = prefix + (y,) + (z,) + suffix[1:]
@@ -99,25 +99,6 @@ def diagonal_quotient(g: Graph, k: int) -> DiagonalQuotient:
     relations = SparseMatrix.from_entries(len(rows), len(paths), rel_entries)
     quotient = LatticeQuotient(None, relations.transpose(), len(paths))
     return DiagonalQuotient(k, paths, len(rows), quotient.group, quotient)
-
-
-def _paths_from(g: Graph, start: int, length: int) -> list:
-    if length == 0:
-        return [(start,)]
-    out = []
-    succ = [g.successors(u) for u in range(g.n)]
-
-    def extend(prefix):
-        if len(prefix) == length + 1:
-            out.append(tuple(prefix))
-            return
-        for y in succ[prefix[-1]]:
-            prefix.append(y)
-            extend(prefix)
-            prefix.pop()
-
-    extend([start])
-    return out
 
 
 def verify_diagonal_theorem(g: Graph, kmax: int, samples: int = 40, seed: int = 0):

@@ -101,13 +101,6 @@ class LatticeQuotient:
         """Number of coordinates (free + torsion)."""
         return len(self.orders)
 
-    def contains(self, vec: list) -> bool:
-        """Is the vector in ker(A)?"""
-        if self._snf_a is None:
-            return True
-        w = self._snf_a.Vinv.matvec(vec)
-        return all(w[i] == 0 for i in range(self._rank_a))
-
     def _kernel_coords(self, vec: list) -> list:
         if self._snf_a is None:
             return list(vec)
@@ -332,17 +325,14 @@ class MagnitudeHomology:
     def degree_bound(self, l) -> int:
         """Largest degree that can carry simplices in grade l (positive-min
         spaces only; k <= l / min positive distance)."""
-        from .spaces import min_positive_distance
-
         l = Fraction(l)
-        if self.space.n == 0:
+        space = self.space
+        if space.n <= 1 or l == 0:
             return 0
-        if self.space.n == 1 or l == 0:
+        space.require_positive()
+        if space.min_step is None:
             return 0
-        delta = min_positive_distance(self.space)
-        if delta.is_infinite:
-            return 0
-        return int(l / delta.value)
+        return int(l * space.den / space.min_step)
 
 
 def homology(space: QuasiMetricSpace, k: int, l) -> AbelianGroup:

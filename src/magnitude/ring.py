@@ -263,8 +263,12 @@ class RingPresentation:
     @staticmethod
     def from_json(text: str) -> "RingPresentation":
         doc = json.loads(text)
-        if doc.get("format") != FORMAT_TAG:
-            raise ValueError(f"unrecognized presentation format {doc.get('format')!r}")
+        tag = doc.get("format") if isinstance(doc, dict) else None
+        if tag != FORMAT_TAG:
+            raise ValueError(f"unrecognized presentation format {tag!r}")
+        for field in ("bidegrees", "unit", "products"):
+            if not isinstance(doc.get(field), list):
+                raise ValueError(f"presentation field {field!r} is missing or not a list")
         bidegrees = []
         ranks = {}
         torsions = {}

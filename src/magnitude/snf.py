@@ -106,16 +106,6 @@ class SparseMatrix:
                 rows[r] = acc
         return SparseMatrix(self.nrows, other.ncols, rows)
 
-    def column(self, c) -> dict:
-        return {r: d[c] for r, d in self.rows.items() if c in d}
-
-    def to_dense(self) -> list:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, d in self.rows.items():
-            for c, v in d.items():
-                out[r][c] = v
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
@@ -148,10 +138,6 @@ class SmithDecomposition:
         return SparseMatrix.from_entries(
             self.nrows, self.ncols, {(i, i): v for i, v in enumerate(self.diag)}
         )
-
-    def kernel_basis(self):
-        """Columns of V past the rank: a lattice basis of ker(M) in Z^ncols."""
-        return [self.VT.rows.get(j, {}) for j in range(self.rank, self.ncols)]
 
 
 class _Eliminator:
@@ -411,6 +397,8 @@ def _fix_divisibility(elim: _Eliminator, pivots: list):
         changed = False
         for i in range(len(pivots)):
             ri, ci, a = pivots[i]
+            if a == 1:
+                continue  # a unit divides every later pivot
             for j in range(i + 1, len(pivots)):
                 rj, cj, b = pivots[j]
                 if b % a == 0:

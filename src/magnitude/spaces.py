@@ -5,12 +5,19 @@ distances satisfying d(x,x) = 0 and the triangle inequality; symmetry is NOT
 required, INF entries mark unreachable pairs, and zero distances between
 distinct points are only permitted on explicitly constructed pseudo spaces
 (where recovery and the magnitude series are undefined).
+
+Public distances and grades stay exact rationals.  Each space also keeps,
+computed once, one integer form for the engine: every distance as an integer
+over the common denominator of the finite distances, with None for INF.  A
+grade, being a sum of distances, is then an integer in the same units.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .rationals import INF, ExtendedRational, format_rational, parse_rational
@@ -60,9 +67,16 @@ class Graph:
 
 
 class QuasiMetricSpace:
-    """Immutable finite space with an exact extended quasi-metric."""
+    """Immutable finite space with an exact extended quasi-metric.
 
-    __slots__ = ("n", "d", "positive_min")
+    Besides the public matrix ``d``, a space keeps the one distance form the
+    engine reads: ``units[x][y]``, the distance in units of ``1/den`` (``den``
+    is the lcm of the finite denominators) or None for INF; ``steps[x]``, the
+    pairs (y, units) of the finite out-steps of x in index order; and
+    ``min_step``, the least of those units (None when there is none).
+    """
+
+    __slots__ = ("n", "d", "positive_min", "den", "units", "steps", "min_step")
 
     def __init__(self, d: Sequence[Sequence], allow_pseudo: bool = False):
         matrix = tuple(
@@ -73,37 +87,49 @@ class QuasiMetricSpace:
         for row in matrix:
             if len(row) != n:
                 raise InvalidSpace("distance matrix must be square")
+        values = [[None if x.is_infinite else x.value for x in row] for row in matrix]
+        den = lcm(*(v.denominator for row in values for v in row if v is not None))
+        units = tuple(
+            tuple(None if v is None else v.numerator * (den // v.denominator) for v in row)
+            for row in values
+        )
         for i in range(n):
-            if not matrix[i][i].is_zero:
+            if units[i][i] != 0:
                 raise InvalidSpace(f"d({i},{i}) must be 0")
+        steps = tuple(
+            tuple((j, u) for j, u in enumerate(row) if j != i and u is not None)
+            for i, row in enumerate(units)
+        )
         positive = True
         for i in range(n):
-            for j in range(n):
-                if i != j and matrix[i][j].is_zero:
+            for j, u in steps[i]:
+                if u == 0:
                     if not allow_pseudo:
                         raise ZeroDistance(i, j)
                     positive = False
-        # Exhaustive triangle inequality; INF absorbs addition so the
-        # comparison is well defined for unreachable pairs.
+        # Exhaustive triangle inequality over finite pairs: a pair through an
+        # INF step bounds nothing, and d(i,k) = INF fails any finite bound.
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if matrix[i][k] > matrix[i][j] + matrix[j][k]:
+            row = units[i]
+            for j, dij in steps[i]:
+                for k, djk in steps[j]:
+                    dik = row[k]
+                    if dik is None or dik > dij + djk:
                         raise InvalidSpace(
                             f"triangle inequality fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
                         )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", matrix)
         object.__setattr__(self, "positive_min", positive)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(
+            self, "min_step", min((u for row in steps for _, u in row), default=None)
+        )
 
     def __setattr__(self, *args):
         raise AttributeError("QuasiMetricSpace is immutable")
-
-    def dist(self, x: int, y: int) -> ExtendedRational:
-        return self.d[x][y]
-
-    def points(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other):
         return isinstance(other, QuasiMetricSpace) and self.d == other.d
@@ -114,18 +140,22 @@ class QuasiMetricSpace:
     def __repr__(self):
         return f"QuasiMetricSpace(n={self.n})"
 
-    def finite_distances(self) -> list:
-        """Sorted distinct finite nonzero distance values, as Fractions."""
-        values = set()
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and not self.d[i][j].is_infinite and not self.d[i][j].is_zero:
-                    values.add(self.d[i][j].value)
-        return sorted(values)
+    def grade_units(self, l):
+        """The grade l in units of 1/den; None when l is not a multiple of
+        1/den, so that no simplex has length l."""
+        units = Fraction(l) * self.den
+        return units.numerator if units.denominator == 1 else None
+
+    def require_positive(self) -> None:
+        """Raise ZeroDistance, naming the first zero pair, on a pseudo space."""
+        if not self.positive_min:
+            for i in range(self.n):
+                for j, u in self.steps[i]:
+                    if u == 0:
+                        raise ZeroDistance(i, j)
 
     def max_finite_distance(self) -> Fraction:
-        values = self.finite_distances()
-        return values[-1] if values else Fraction(0)
+        return Fraction(max((u for row in self.steps for _, u in row), default=0), self.den)
 
 
 @dataclass(frozen=True)
@@ -163,10 +193,6 @@ def space_from_graph(g: Graph) -> QuasiMetricSpace:
     return QuasiMetricSpace(dist)
 
 
-def empty_space() -> QuasiMetricSpace:
-    return QuasiMetricSpace(())
-
-
 def adjacent_pairs(space: QuasiMetricSpace) -> list:
     """All ordered adjacent pairs of the space, sorted by (x, y)."""
     out = []
@@ -191,17 +217,10 @@ def min_positive_distance(space: QuasiMetricSpace) -> ExtendedRational:
     unreachable; ZeroDistance on a pseudo space."""
     if space.n < 2:
         raise InvalidSpace("need at least two points")
-    best = INF
-    for i in range(space.n):
-        for j in range(space.n):
-            if i == j:
-                continue
-            dij = space.d[i][j]
-            if dij.is_zero:
-                raise ZeroDistance(i, j)
-            if dij < best:
-                best = dij
-    return best
+    space.require_positive()
+    if space.min_step is None:
+        return INF
+    return ExtendedRational(Fraction(space.min_step, space.den))
 
 
 def _signature(space: QuasiMetricSpace, x: int):
@@ -353,14 +372,18 @@ def format_metric_csv(space: QuasiMetricSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def load_graph(source: str) -> Graph:
+    """Resolve a --graph argument: an edge-list file if the path exists,
+    otherwise a builtin name."""
+    if os.path.exists(source):
+        with open(source) as fh:
+            return parse_graph_file(fh.read())
+    return builtin_graph(source)
+
+
 def load_space(source: str, kind: str = "graph") -> QuasiMetricSpace:
     """Resolve a --graph name-or-file or a --metric file into a space."""
-    import os
-
     if kind == "metric":
         with open(source) as fh:
             return parse_metric_file(fh.read())
-    if os.path.exists(source):
-        with open(source) as fh:
-            return space_from_graph(parse_graph_file(fh.read()))
-    return space_from_graph(builtin_graph(source))
+    return space_from_graph(load_graph(source))

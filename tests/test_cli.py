@@ -122,6 +122,14 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", "series", "--graph", "k3")
     assert code == 2
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"format":"magnitude-ring/1"}')
+    code, _, err = run(capsys, "recover", "--ring", str(bare))
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    code, out, err = run(capsys, "homology", "--graph", "c5", "--kmax", "-1", "--lmax", "2")
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    code, out, err = run(capsys, "homology", "--graph", "c5", "--kmax", "2", "--lmax", "-2")
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_metric_input(capsys, tmp_path):

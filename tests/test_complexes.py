@@ -8,7 +8,6 @@ from magnitude.complexes import (
     NotNonIncreasing,
     boundary_entries,
     boundary_matrix,
-    coboundary_matrix,
     enumerate_simplices,
     induced_chain_map,
     realizable_grades,
@@ -56,6 +55,28 @@ def test_enumeration_matches_brute_force_on_random_spaces():
         for k in range(4):
             for l in realizable_grades(space, 6)[:6]:
                 assert enumerate_simplices(space, k, l) == brute_force_simplices(space, k, l)
+    # INF entries: a digraph that is not strongly connected
+    digraph = space_from_graph(Graph.directed_graph(4, [(0, 1), (1, 2), (2, 1), (3, 2)]))
+    assert any(x.is_infinite for row in digraph.d for x in row)
+    # zero steps: a pseudo space, whose grades realizable_grades refuses
+    half = Fraction(1, 2)
+    pseudo = QuasiMetricSpace(
+        [[0, 0, half, 1], [0, 0, half, 1], [half, half, 0, half], [1, 1, half, 0]],
+        allow_pseudo=True,
+    )
+    for space, grades in ((digraph, range(5)), (pseudo, [0, half, 1, Fraction(3, 2), 2])):
+        for k in range(4):
+            for l in grades:
+                assert enumerate_simplices(space, k, l) == brute_force_simplices(space, k, l)
+    # a grade that is not a multiple of 1/6 on a space with denominators 2 and 3
+    third, sixth = Fraction(1, 3), Fraction(5, 6)
+    mixed = QuasiMetricSpace([[0, Fraction(1, 2), sixth], [Fraction(1, 2), 0, third], [sixth, third, 0]])
+    assert mixed.den == 6
+    for k in range(4):
+        for l in (Fraction(5, 4), Fraction(7, 12), Fraction(4, 3)):
+            assert enumerate_simplices(mixed, k, l) == brute_force_simplices(mixed, k, l)
+    assert enumerate_simplices(mixed, 2, Fraction(4, 3)) != []
+    assert enumerate_simplices(mixed, 2, Fraction(5, 4)) == []
 
 
 def test_enumeration_is_lexicographic_and_deterministic():
@@ -97,13 +118,6 @@ def test_boundary_squared_zero_exhaustive():
             kmax = min(engine.degree_bound(l), 7)
             for k in range(2, kmax + 1):
                 assert engine.boundary(k - 1, l).matmul(engine.boundary(k, l)).is_zero()
-
-
-def test_coboundary_matrix_is_boundary_transposed():
-    p3 = space_from_graph(builtin_graph("p3"))
-    engine = MagnitudeHomology(p3)
-    delta = coboundary_matrix(p3, 1, 2, engine.simplices(1, 2), engine.index(2, 2))
-    assert delta == engine.boundary(2, 2).transpose()
 
 
 def test_coboundary_squared_zero():

@@ -185,6 +185,11 @@ def test_invalid_matrices_rejected():
         QuasiMetricSpace([[0, 1], [1, 0], [1, 1]])  # not square
     with pytest.raises(InvalidSpace):
         QuasiMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])  # triangle fails
+    with pytest.raises(InvalidSpace, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
+        QuasiMetricSpace([[0, 1, INF], [1, 0, 1], [1, 1, 0]])  # INF above a finite path
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    with pytest.raises(InvalidSpace, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
+        QuasiMetricSpace([[0, half, 1], [half, 0, third], [1, third, 0]])  # 1 > 1/2 + 1/3
 
 
 def test_directed_graph_asymmetry_allowed():
