@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -23,10 +24,9 @@ from .rationals import format_grade
 from .recovery import recover_space
 from .ring import RingPresentation, export_presentation
 from .spaces import (
-    InvalidSpace,
-    ZeroDistance,
     builtin_graph,
     format_metric_csv,
+    is_isometric,
     load_graph,
     load_space,
 )
@@ -38,6 +38,14 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an InputError (one-line message,
+    exit 2) instead of printing the usage block."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _space_from_args(args):
@@ -84,17 +92,11 @@ def _format_table(rows, fmt: str, side: str) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def cmd_homology(args) -> int:
+def cmd_table(args) -> int:
+    """The homology or cohomology table, after args.command."""
     space = _space_from_args(args)
-    rows = _blocks_table(space, args.kmax, args.lmax, "homology")
-    _emit(_format_table(rows, args.format, "homology"), args.out)
-    return EXIT_OK
-
-
-def cmd_cohomology(args) -> int:
-    space = _space_from_args(args)
-    rows = _blocks_table(space, args.kmax, args.lmax, "cohomology")
-    _emit(_format_table(rows, args.format, "cohomology"), args.out)
+    rows = _blocks_table(space, args.kmax, args.lmax, args.command)
+    _emit(_format_table(rows, args.format, args.command), args.out)
     return EXIT_OK
 
 
@@ -116,8 +118,6 @@ def cmd_recover(args) -> int:
     lmax = Fraction(args.lmax) if args.lmax is not None else space.max_finite_distance()
     pres = export_presentation(space, args.kmax, lmax, scramble_seed=args.seed)
     recovered = recover_space(RingPresentation.from_json(pres.to_json()))
-    from .spaces import is_isometric
-
     verdict = is_isometric(space, recovered.space)
     _emit(format_metric_csv(recovered.space), args.out)
     sys.stdout.write(
@@ -226,8 +226,6 @@ def cmd_verify(args) -> int:
 
 
 def _poset_from_source(source: str):
-    import os
-
     if os.path.exists(source):
         with open(source) as fh:
             return posets.parse_poset_file(fh.read())
@@ -242,7 +240,7 @@ def _poset_from_source(source: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magnitude",
         description="Exact magnitude homology, cohomology rings, and recovery "
         "for finite graphs and quasi-metric spaces.",
@@ -257,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lmax", required=lmax_required)
         p.add_argument("--out", help="output path (default stdout)")
 
-    for name, fn in (("homology", cmd_homology), ("cohomology", cmd_cohomology)):
+    for name in ("homology", "cohomology"):
         p = sub.add_parser(name, help=f"{name} table per bidegree")
         add_space_args(p)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("ring", help="export the cohomology ring presentation")
     add_space_args(p)
@@ -292,18 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for flag in ("kmax", "lmax"):
             value = getattr(args, flag, None)
-            if value is not None and Fraction(value) < 0:
+            try:
+                negative = value is not None and Fraction(value) < 0
+            except ZeroDivisionError:
+                raise InputError(f"--{flag} has a zero denominator: {value}") from None
+            if negative:
                 raise InputError(f"--{flag} must be nonnegative, got {value}")
         return args.fn(args)
-    except (InputError, InvalidSpace, posets.InvalidPoset, ZeroDistance) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    # InvalidSpace, ZeroDistance, InvalidPoset and InvalidPresentation are
+    # ValueErrors
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

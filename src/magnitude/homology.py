@@ -69,27 +69,19 @@ class LatticeQuotient:
         if A is None or A.is_zero():
             self._snf_a = None
             self._rank_a = 0
+            bk = B
         else:
             self._snf_a = smith_normal_form(A, need=("V", "Vinv"), divisibility=False)
-            self._rank_a = self._snf_a.rank
-        z = n - self._rank_a
-        self._kernel_dim = z
-
-        bk_entries = {}
-        cols = B.transpose()
-        for j in range(B.ncols):
-            col = [0] * n
-            for r, v in cols.rows.get(j, {}).items():
-                col[r] = v
-            w = self._kernel_coords(col)
-            for i, v in enumerate(w):
-                if v:
-                    bk_entries[(i, j)] = v
-        bk = SparseMatrix.from_entries(z, B.ncols, bk_entries)
+            self._rank_a = ra = self._snf_a.rank
+            # kernel coordinates of every column of B at once
+            w = self._snf_a.Vinv.matmul(B)
+            if any(r < ra for r in w.rows):
+                raise ValueError("vector is not in the kernel")
+            bk = SparseMatrix(n - ra, B.ncols, {r - ra: d for r, d in w.rows.items()})
         self._snf_b = smith_normal_form(bk, need=("U", "Uinv"), divisibility=True)
         rb = self._snf_b.rank
         diag = self._snf_b.diag
-        self._free_positions = list(range(rb, z))
+        self._free_positions = list(range(rb, n - self._rank_a))
         self._torsion_positions = [p for p in range(rb) if diag[p] >= 2]
         self.orders = [0] * len(self._free_positions) + [
             diag[p] for p in self._torsion_positions
@@ -160,7 +152,6 @@ class BlockComplex:
         self._bases = {}
         self._indexes = {}
         self._boundaries = {}
-        self._ranks = {}
         self._factors = {}
         self._quotients = {}
 
@@ -195,14 +186,9 @@ class BlockComplex:
         transposed."""
         return self.boundary(k + 1).transpose()
 
-    def _rank(self, key, matrix_fn) -> int:
-        if key not in self._ranks:
-            self._ranks[key] = smith_normal_form(
-                matrix_fn(), need=(), divisibility=False
-            ).rank
-        return self._ranks[key]
-
     def _invariant_factors(self, key, matrix_fn) -> tuple:
+        """Invariant factors of one matrix, reduced once per key; a rank is
+        their count."""
         if key not in self._factors:
             self._factors[key] = tuple(
                 smith_normal_form(matrix_fn(), need=(), divisibility=True).diag
@@ -211,7 +197,7 @@ class BlockComplex:
 
     def homology(self, k: int) -> AbelianGroup:
         nk = len(self.basis(k))
-        r_out = self._rank(("d", k), lambda: self.boundary(k))
+        r_out = len(self._invariant_factors(("d", k), lambda: self.boundary(k)))
         factors_in = self._invariant_factors(("d", k + 1), lambda: self.boundary(k + 1))
         return AbelianGroup(nk - r_out - len(factors_in), _torsion_of(factors_in))
 
@@ -219,12 +205,8 @@ class BlockComplex:
         """Computed from the coboundary side (transposed matrices), so the
         universal-coefficient comparison against homology() is a real check."""
         nk = len(self.basis(k))
-        r_out = self._rank(("dt", k), lambda: self.coboundary(k))
-        factors_in = (
-            self._invariant_factors(("dt", k - 1), lambda: self.coboundary(k - 1))
-            if k >= 1
-            else ()
-        )
+        r_out = len(self._invariant_factors(("dt", k), lambda: self.coboundary(k)))
+        factors_in = self._invariant_factors(("dt", k - 1), lambda: self.coboundary(k - 1))
         return AbelianGroup(nk - r_out - len(factors_in), _torsion_of(factors_in))
 
     def homology_quotient(self, k: int) -> LatticeQuotient:
@@ -238,13 +220,8 @@ class BlockComplex:
     def cohomology_quotient(self, k: int) -> LatticeQuotient:
         key = ("cq", k)
         if key not in self._quotients:
-            incoming = (
-                self.coboundary(k - 1)
-                if k >= 1
-                else SparseMatrix(len(self.basis(k)), 0)
-            )
             self._quotients[key] = LatticeQuotient(
-                self.coboundary(k), incoming, len(self.basis(k))
+                self.coboundary(k), self.coboundary(k - 1), len(self.basis(k))
             )
         return self._quotients[key]
 

@@ -148,10 +148,6 @@ def poset_cup(complex_: OrderComplex, j: int, xi, k: int, eta) -> tuple:
     return tuple(out)
 
 
-def cohomology_class(complex_: OrderComplex, k: int, cochain) -> tuple:
-    return complex_.cohomology_quotient(k).reduce(list(cochain))
-
-
 def check_graded_commutativity(poset: FinitePoset, kmax: int):
     """alpha.beta = (-1)^{jk} beta.alpha at class level for all basis classes
     with j + k <= kmax; (ok, failures)."""

@@ -81,16 +81,16 @@ class ExtendedRational:
 INF = ExtendedRational.__new__(ExtendedRational)
 INF._value = None
 
-ZERO = ExtendedRational(0)
-ONE = ExtendedRational(1)
-
 
 def parse_rational(text: str) -> ExtendedRational:
     """Parse 'p/q', an integer literal, or 'inf'."""
     text = text.strip()
     if text.lower() in ("inf", "infinity", "oo"):
         return INF
-    return ExtendedRational(Fraction(text))
+    try:
+        return ExtendedRational(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: ExtendedRational) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import realizable_grades
-from .homology import MagnitudeHomology
+from .homology import AbelianGroup, MagnitudeHomology
 from .rationals import format_grade, parse_grade
 from .snf import SparseMatrix, smith_normal_form
 from .spaces import QuasiMetricSpace
@@ -30,6 +30,10 @@ from .spaces import QuasiMetricSpace
 
 class BidegreeMismatch(ValueError):
     pass
+
+
+class InvalidPresentation(ValueError):
+    """A presentation document that is not a well-formed export."""
 
 
 @dataclass(frozen=True)
@@ -262,29 +266,68 @@ class RingPresentation:
 
     @staticmethod
     def from_json(text: str) -> "RingPresentation":
+        """Parse and validate a document in one pass over it; anything that is
+        not a well-formed export raises InvalidPresentation.  Products name
+        bidegrees by the same (k, l) values the bidegree entries declare."""
         doc = json.loads(text)
         tag = doc.get("format") if isinstance(doc, dict) else None
-        if tag != FORMAT_TAG:
-            raise ValueError(f"unrecognized presentation format {tag!r}")
+        _require(tag == FORMAT_TAG, "presentation", f"unrecognized format {tag!r}")
         for field in ("bidegrees", "unit", "products"):
-            if not isinstance(doc.get(field), list):
-                raise ValueError(f"presentation field {field!r} is missing or not a list")
-        bidegrees = []
-        ranks = {}
-        torsions = {}
-        for item in doc["bidegrees"]:
-            bideg = (int(item["k"]), parse_grade(item["l"]))
-            bidegrees.append(bideg)
-            ranks[bideg] = int(item["rank"])
-            torsions[bideg] = tuple(int(t) for t in item["torsion"])
-        table = {}
-        for a, b, _target, coords in doc["products"]:
-            ba = (int(a[0]), parse_grade(a[1]))
-            bb = (int(b[0]), parse_grade(b[1]))
-            table.setdefault((ba, bb), {})[(int(a[2]), int(b[2]))] = tuple(
-                int(c) for c in coords
+            _require(isinstance(doc.get(field), list), f"field {field!r}", "missing or not a list")
+        ranks, torsions, dims, declared = {}, {}, {}, {}
+        for n, item in enumerate(doc["bidegrees"]):
+            where = f"bidegree entry {n}"
+            _require(isinstance(item, dict), where, "not an object")
+            k, l, rank, torsion = (item.get(key) for key in ("k", "l", "rank", "torsion"))
+            _require(
+                _is_count(k) and isinstance(l, str) and _is_count(rank) and _is_int_list(torsion),
+                where, "needs integers k and rank, a grade string l and a torsion list",
             )
-        return RingPresentation(sorted(bidegrees), ranks, torsions, doc["unit"], table)
+            try:
+                bideg = (k, parse_grade(l))
+                AbelianGroup(rank, tuple(torsion))
+            except ValueError as exc:
+                raise InvalidPresentation(f"{where}: {exc}") from None
+            _require(bideg not in dims, where, "duplicates an earlier bidegree")
+            declared[k, l] = bideg
+            ranks[bideg], torsions[bideg], dims[bideg] = rank, tuple(torsion), rank + len(torsion)
+        unit = doc["unit"]
+        _require(
+            _is_int_list(unit) and len(unit) == dims.get((0, Fraction(0)), 0),
+            "unit", "not an integer list as long as dim(0, 0)",
+        )
+        table = {}
+        for n, product in enumerate(doc["products"]):
+            where = f"product {n}"
+            try:
+                (ka, la, i), (kb, lb, j), (kt, lt), coords = product
+                ba, bb, bt = declared[ka, la], declared[kb, lb], declared[kt, lt]
+            except (KeyError, TypeError, ValueError):
+                raise InvalidPresentation(f"{where}: malformed or undeclared bidegree") from None
+            _require(
+                _is_count(i) and i < dims[ba] and _is_count(j) and j < dims[bb],
+                where, "index out of range",
+            )
+            _require(bt == (ba[0] + bb[0], ba[1] + bb[1]), where, "target is not the sum")
+            _require(
+                _is_int_list(coords) and len(coords) == dims[bt],
+                where, "coordinates do not match the target's dimension",
+            )
+            table.setdefault((ba, bb), {})[(i, j)] = tuple(coords)
+        return RingPresentation(sorted(ranks), ranks, torsions, unit, table)
+
+
+def _require(ok: bool, where: str, problem: str) -> None:
+    if not ok:
+        raise InvalidPresentation(f"{where}: {problem}")
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_int_list(x) -> bool:
+    return type(x) is list and all(type(v) is int for v in x)
 
 
 def random_unimodular(n: int, rng: random.Random):

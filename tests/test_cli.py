@@ -130,6 +130,35 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
     code, out, err = run(capsys, "homology", "--graph", "c5", "--kmax", "2", "--lmax", "-2")
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    for flags in (("--kmax", "1", "--lmax", "-1/2"), ("--kmax", "x", "--lmax", "1")):
+        code, out, err = run(capsys, "homology", "--graph", "c5", *flags)
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    code, export, _ = run(capsys, "ring", "--graph", "p3", "--kmax", "1", "--lmax", "2")
+    assert code == 0
+
+    def drop_rank(doc):
+        del doc["bidegrees"][0]["rank"]
+
+    def string_bidegree(doc):
+        doc["bidegrees"][0] = "0,0"
+
+    def short_unit(doc):
+        doc["unit"].pop()
+
+    def index_99(doc):
+        doc["products"][0][0][2] = 99
+
+    def short_coords(doc):
+        doc["products"][0][3].pop()
+
+    for corrupt in (drop_rank, string_bidegree, short_unit, index_99, short_coords):
+        doc = json.loads(export)
+        corrupt(doc)
+        f = tmp_path / f"{corrupt.__name__}.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "recover", "--ring", str(f))
+        assert code == 2 and out == "", corrupt.__name__
+        assert err.startswith("error:") and err.count("\n") == 1, corrupt.__name__
 
 
 def test_metric_input(capsys, tmp_path):

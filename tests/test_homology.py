@@ -1,5 +1,8 @@
+import importlib
 import random
 from fractions import Fraction
+
+import pytest
 
 from magnitude.complexes import realizable_grades
 from magnitude.homology import (
@@ -75,6 +78,34 @@ def test_lattice_quotient_torsion():
     assert quotient.reduce(rep) == (1,)
     # six times anything is a relation
     assert quotient.reduce([6 * rep[0], 6 * rep[1]]) == (0,)
+
+
+def test_lattice_quotient_rejects_incoming_map_outside_kernel():
+    A = SparseMatrix.from_dense([[1, 0]])
+    assert LatticeQuotient(A, SparseMatrix.from_dense([[0], [1]]), 2).group.is_trivial
+    with pytest.raises(ValueError, match="not in the kernel"):
+        LatticeQuotient(A, SparseMatrix.from_dense([[0, 1], [1, 0]]), 2)
+
+
+def test_homology_table_reduces_each_boundary_once(monkeypatch):
+    module = importlib.import_module("magnitude.homology")  # the package re-exports homology()
+    calls = []
+    snf = module.smith_normal_form
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return snf(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(module, "smith_normal_form", counted)
+    engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")))
+    keys = set()
+    for _ in range(2):
+        for l in realizable_grades(engine.space, 3):
+            top = min(3, engine.degree_bound(l))
+            for k in range(top + 1):
+                engine.homology(k, l)
+                keys |= {(l, k), (l, k + 1)}  # H_k reads the boundaries at k and k+1
+    assert len(calls) == len(keys)
 
 
 def test_lattice_quotient_reduce_representative_roundtrip():

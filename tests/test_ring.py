@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from magnitude.homology import MagnitudeHomology, MissingBlock
 from magnitude.ring import (
     BidegreeMismatch,
     Cochain,
+    InvalidPresentation,
     RingPresentation,
     class_of,
     class_product,
@@ -255,6 +257,35 @@ def test_export_scrambling_determinism_and_unit():
         gi = [1 if t == i else 0 for t in range(pres.dim(b00))]
         _, left = pres.mult(b00, list(pres.unit), b00, gi)
         assert left == gi
+
+
+def test_from_json_rejects_malformed_documents():
+    export = export_presentation(space_from_graph(builtin_graph("p3")), 1, 2).to_json()
+    assert RingPresentation.from_json(export).to_json() == export
+
+    def corrupted(edit):
+        doc = json.loads(export)
+        edit(doc)
+        return json.dumps(doc)
+
+    edits = [
+        lambda d: d["bidegrees"][1].update(k="1"),
+        lambda d: d["bidegrees"][1].pop("l"),
+        lambda d: d["bidegrees"][1].update(l="1/0"),
+        lambda d: d["bidegrees"][1].update(torsion=[2, 3]),
+        lambda d: d["bidegrees"][1].update(torsion=[1]),
+        lambda d: d["bidegrees"].append(dict(d["bidegrees"][0])),
+        lambda d: d["unit"].append(0),
+        lambda d: d["products"][0][0].__setitem__(1, "1/2"),
+        lambda d: d["products"][0][0].__setitem__(0, 2),
+        lambda d: d["products"][0].__setitem__(2, [1, "1"]),
+        lambda d: d["products"][0].pop(),
+        lambda d: d["products"][0][1].__setitem__(2, -1),
+        lambda d: d["products"][0][3].__setitem__(0, "1"),
+    ]
+    for edit in edits:
+        with pytest.raises(InvalidPresentation):
+            RingPresentation.from_json(corrupted(edit))
 
 
 def test_edge_presentation_is_pointwise_ring():
