@@ -24,6 +24,7 @@ from .rationals import format_grade
 from .recovery import recover_space
 from .ring import RingPresentation, export_presentation
 from .spaces import (
+    adjacent_pairs,
     builtin_graph,
     format_metric_csv,
     is_isometric,
@@ -116,6 +117,13 @@ def cmd_recover(args) -> int:
         return EXIT_OK
     space = _space_from_args(args)
     lmax = Fraction(args.lmax) if args.lmax is not None else space.max_finite_distance()
+    pairs = adjacent_pairs(space)
+    longest = max((p.length.value for p in pairs), default=0)
+    if pairs and (args.kmax < 1 or lmax < longest):
+        raise InputError(
+            f"--kmax {args.kmax} --lmax {format_grade(lmax)} hides degree-one blocks the "
+            f"round trip needs (kmax >= 1, lmax >= {format_grade(longest)})"
+        )
     pres = export_presentation(space, args.kmax, lmax, scramble_seed=args.seed)
     recovered = recover_space(RingPresentation.from_json(pres.to_json()))
     verdict = is_isometric(space, recovered.space)

@@ -21,10 +21,11 @@ from .ring import (
     HomologyClass,
     RingClass,
     class_product,
+    cycle_class_of,
     dual_classes,
-    indicator_cochain,
     representative,
 )
+from .snf import SparseMatrix, smith_normal_form
 from .spaces import cycle_graph, space_from_graph
 
 
@@ -208,8 +209,6 @@ def verify_gu_basis(n: int, kmax: int):
                     failures.append(f"({k},{l}): {adm.simplex} is not a cycle")
                     continue
                 coord_rows.append(quotient.reduce(chain))
-            from .snf import SparseMatrix, smith_normal_form
-
             sm = smith_normal_form(
                 SparseMatrix.from_dense(coord_rows), need=(), divisibility=True
             )
@@ -252,11 +251,9 @@ class CyclicRing:
 
     def _cycle_class(self, simplex: tuple, l) -> HomologyClass:
         k = len(simplex) - 1
-        engine = self.engine
-        chain = [0] * len(engine.simplices(k, l))
-        chain[engine.index(k, l)[simplex]] = 1
-        quotient = engine.homology_quotient(k, Fraction(l))
-        return HomologyClass(k, Fraction(l), quotient.reduce(chain))
+        chain = [0] * len(self.engine.simplices(k, l))
+        chain[self.engine.index(k, l)[simplex]] = 1
+        return cycle_class_of(self.engine, chain, k, l)
 
     def _instantiate(self):
         n, m = self.n, self.m

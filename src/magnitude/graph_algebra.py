@@ -10,6 +10,7 @@ so closed-form oracles are available to cross-check the engine.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +49,6 @@ def path_count(g: Graph, k: int) -> int:
 class DiagonalQuotient:
     k: int
     paths: list
-    relation_count: int
     group: AbelianGroup
     quotient: LatticeQuotient
 
@@ -98,7 +98,7 @@ def diagonal_quotient(g: Graph, k: int) -> DiagonalQuotient:
             rel_entries[(r, c)] = v
     relations = SparseMatrix.from_entries(len(rows), len(paths), rel_entries)
     quotient = LatticeQuotient(None, relations.transpose(), len(paths))
-    return DiagonalQuotient(k, paths, len(rows), quotient.group, quotient)
+    return DiagonalQuotient(k, paths, quotient.group, quotient)
 
 
 def verify_diagonal_theorem(g: Graph, kmax: int, samples: int = 40, seed: int = 0):
@@ -107,8 +107,6 @@ def verify_diagonal_theorem(g: Graph, kmax: int, samples: int = 40, seed: int = 
 
     Returns (ok, failures); failures hold human-readable counterexamples.
     """
-    import random
-
     space = space_from_graph(g)
     engine = MagnitudeHomology(space)
     failures = []
@@ -218,9 +216,7 @@ def _bipartite_rank(p: int, q: int, k: int) -> int:
 
 def _rational_rank(rows: list) -> int:
     """Gaussian elimination over Q, kept separate from the SNF engine."""
-    from fractions import Fraction as F
-
-    mat = [[F(v) for v in row] for row in rows if any(row)]
+    mat = [[Fraction(v) for v in row] for row in rows if any(row)]
     rank = 0
     ncols = len(mat[0]) if mat else 0
     col = 0

@@ -116,28 +116,27 @@ class LatticeQuotient:
 
     def representative(self, i: int) -> list:
         """An ambient vector representing the i-th coordinate class."""
-        positions = self._free_positions + self._torsion_positions
-        p = positions[i]
-        u = self._snf_b.UinvT.rows.get(p, {})
-        vec = [0] * self.n
-        if self._snf_a is None:
-            for q, v in u.items():
-                vec[q] = v
-            return vec
-        vt = self._snf_a.VT
-        for q, v in u.items():
-            for r, w in vt.rows.get(self._rank_a + q, {}).items():
-                vec[r] += v * w
-        return vec
+        return self.vector_of([1 if t == i else 0 for t in range(self.dim)])
 
     def vector_of(self, coords) -> list:
-        """Ambient representative of a class given by coordinates."""
-        vec = [0] * self.n
-        for i, c in enumerate(coords):
+        """Ambient representative of a class given by coordinates: kernel
+        coordinates summed sparsely from the UinvT rows, then mapped through
+        the VT rows."""
+        uinvt = self._snf_b.UinvT.rows
+        kernel = {}
+        for p, c in zip(self._free_positions + self._torsion_positions, coords):
             if c:
-                rep = self.representative(i)
-                for r in range(self.n):
-                    vec[r] += c * rep[r]
+                for q, v in uinvt.get(p, {}).items():
+                    kernel[q] = kernel.get(q, 0) + c * v
+        vec = [0] * self.n
+        if self._snf_a is None:
+            for q, v in kernel.items():
+                vec[q] = v
+            return vec
+        vt = self._snf_a.VT.rows
+        for q, v in kernel.items():
+            for r, w in vt.get(self._rank_a + q, {}).items():
+                vec[r] += v * w
         return vec
 
     def is_zero_class(self, vec: list) -> bool:

@@ -193,16 +193,10 @@ def recover_space(pres: RingPresentation) -> RecoveredSpace:
     return RecoveredSpace(tuple(points), QuasiMetricSpace(dist))
 
 
-def recovery_roundtrip(
-    space: QuasiMetricSpace,
-    scramble_seed=None,
-    kmax: int = 1,
-    lmax=None,
-) -> bool:
-    """Export (scrambled), serialize, recover, compare up to isometry."""
-    if lmax is None:
-        lmax = space.max_finite_distance()
-    pres = export_presentation(space, kmax, lmax, scramble_seed=scramble_seed)
+def recovery_roundtrip(space: QuasiMetricSpace, scramble_seed=None) -> bool:
+    """Export (scrambled) degrees k <= 1 up to the largest finite distance,
+    serialize, recover, compare up to isometry."""
+    pres = export_presentation(space, 1, space.max_finite_distance(), scramble_seed=scramble_seed)
     reparsed = RingPresentation.from_json(pres.to_json())
     recovered = recover_space(reparsed)
     return is_isometric(space, recovered.space)

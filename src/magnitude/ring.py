@@ -351,7 +351,7 @@ def random_unimodular(n: int, rng: random.Random):
     return t, tinv
 
 
-def _transform_coords(bideg, coords, tinv, rank):
+def _transform_coords(coords, tinv, rank):
     """Move engine coordinates into the scrambled basis: the free block is
     multiplied by T^-1, torsion coordinates pass through."""
     free = [sum(tinv[i][j] * coords[j] for j in range(rank)) for i in range(rank)]
@@ -369,71 +369,55 @@ def export_presentation(
     With a scramble seed, each bidegree's free generators undergo an
     independent random unimodular change of basis so the export carries no
     residue of the simplex bases.  Pseudo spaces are refused (ZeroDistance).
+    Each scrambled basis class is lifted once (representative) and every
+    product is read back through class_of, as in class_product.
     """
     lmax = Fraction(lmax)
     if space.n == 0:
         return RingPresentation([], {}, {}, (), {})
-    grades = realizable_grades(space, lmax)
     engine = MagnitudeHomology(space, kmax=kmax, lmax=lmax)
-    quotients = {}
-    for l in grades:
-        top = min(kmax, engine.degree_bound(l)) if space.n else -1
-        for k in range(0, top + 1):
-            q = engine.cohomology_quotient(k, l)
-            if q.dim > 0:
-                quotients[(k, l)] = q
-    bidegrees = sorted(quotients)
+    groups = {}
+    for l in realizable_grades(space, lmax):
+        for k in range(min(kmax, engine.degree_bound(l)) + 1):
+            group = engine.cohomology_quotient(k, l).group
+            if not group.is_trivial:
+                groups[(k, l)] = group
+    bidegrees = sorted(groups)
     rng = random.Random(scramble_seed) if scramble_seed is not None else None
-    transforms = {}
-    for bideg in bidegrees:
-        r = quotients[bideg].group.rank
+
+    def coordinate_map(tinv, rank):
+        return lambda cochain: _transform_coords(class_of(engine, cochain).coords, tinv, rank)
+
+    basis, coords_of = {}, {}
+    for (k, l) in bidegrees:  # sorted order fixes which draws each scramble takes
+        r, nt = groups[k, l].rank, len(groups[k, l].torsion)
         if rng is None:
             t = tinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         else:
             t, tinv = random_unimodular(r, rng)
-        transforms[bideg] = (t, tinv)
+        # scrambled generator i: column i of T, then the torsion generators
+        gens = [[t[s][i] for s in range(r)] + [0] * nt for i in range(r)]
+        gens += [[0] * r + [1 if s == i else 0 for s in range(nt)] for i in range(nt)]
+        basis[k, l] = [representative(engine, RingClass(k, l, tuple(g))) for g in gens]
+        coords_of[k, l] = coordinate_map(tinv, r)
 
-    ranks = {b: quotients[b].group.rank for b in bidegrees}
-    torsions = {b: quotients[b].group.torsion for b in bidegrees}
-
-    def scrambled_engine_coords(bideg, i):
-        """Engine coordinates of the i-th scrambled basis element."""
-        q = quotients[bideg]
-        r = q.group.rank
-        t = transforms[bideg][0]
-        if i < r:
-            return [t[s][i] for s in range(r)] + [0] * len(q.group.torsion)
-        return [0] * r + [1 if r + s == i else 0 for s in range(len(q.group.torsion))]
-
-    unit_coords = quotients[(0, Fraction(0))].reduce(
-        list(unit_cochain(engine).coords)
-    )
-    unit = _transform_coords(
-        (0, Fraction(0)), unit_coords, transforms[(0, Fraction(0))][1],
-        ranks[(0, Fraction(0))],
-    )
-
+    unit = coords_of[0, Fraction(0)](unit_cochain(engine))
     table = {}
     for ba in bidegrees:
         for bb in bidegrees:
             target = (ba[0] + bb[0], ba[1] + bb[1])
-            if target[0] > kmax or target[1] > lmax:
-                continue
-            if target not in quotients:
-                continue  # trivial target: all products are zero
-            qa, qb, qt = quotients[ba], quotients[bb], quotients[target]
+            if target not in coords_of:
+                continue  # trivial or truncated target: all products are zero
+            to_coords = coords_of[target]
             pairs = {}
-            for i in range(qa.dim):
-                phi = Cochain(ba[0], ba[1], tuple(qa.vector_of(scrambled_engine_coords(ba, i))))
-                for j in range(qb.dim):
-                    psi = Cochain(bb[0], bb[1], tuple(qb.vector_of(scrambled_engine_coords(bb, j))))
-                    prod = qt.reduce(list(cup_cochain(engine, phi, psi).coords))
-                    coords = _transform_coords(
-                        target, prod, transforms[target][1], ranks[target]
-                    )
+            for i, phi in enumerate(basis[ba]):
+                for j, psi in enumerate(basis[bb]):
+                    coords = to_coords(cup_cochain(engine, phi, psi))
                     if any(coords):
                         pairs[(i, j)] = coords
             if pairs:
                 table[(ba, bb)] = pairs
 
+    ranks = {b: groups[b].rank for b in bidegrees}
+    torsions = {b: groups[b].torsion for b in bidegrees}
     return RingPresentation(bidegrees, ranks, torsions, unit, table)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .complexes import realizable_grades
 from .homology import MagnitudeHomology
 from .rationals import format_grade
-from .spaces import QuasiMetricSpace, ZeroDistance
+from .spaces import QuasiMetricSpace
 
 
 @dataclass(frozen=True)
@@ -69,57 +69,39 @@ def euler_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     return GradedSeries.from_dict(lmax, coeffs)
 
 
-def _series_mul(a: dict, b: dict, lmax: Fraction) -> dict:
-    out = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            l = la + lb
-            if l <= lmax:
-                out[l] = out.get(l, 0) + ca * cb
-    return {l: c for l, c in out.items() if c}
-
-
 def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     """Sum of the entries of Z^{-1} for Z_ab = q^{d(a,b)} (0 when d = INF),
-    truncated at lmax via the Neumann series around Z = I + N."""
+    truncated at lmax via the Neumann series around Z = I + N: the sum over
+    m of (-1)^m 1^T N^m 1, propagating the row vector 1^T N^m."""
     lmax = Fraction(lmax)
+    space.require_positive()
     n = space.n
-    if not space.positive_min:
-        for i in range(n):
-            for j in range(n):
-                if i != j and space.d[i][j].is_zero:
-                    raise ZeroDistance(i, j)
-    off = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and not space.d[i][j].is_infinite:
-                d = space.d[i][j].value
-                if d <= lmax:
-                    off[(i, j)] = {d: 1}
-    total = {Fraction(0): n} if n else {}
-    power = {(i, i): {Fraction(0): 1} for i in range(n)}
+    # the finite entries of N within the truncation, row by row
+    steps = [
+        [
+            (j, x.value)
+            for j, x in enumerate(space.d[i])
+            if j != i and not x.is_infinite and x.value <= lmax
+        ]
+        for i in range(n)
+    ]
+    row = {j: {Fraction(0): 1} for j in range(n)}  # 1^T N^0
+    total = {}
     sign = 1
-    while True:
-        sign = -sign
-        nxt = {}
-        for (i, k), s in power.items():
-            for j in range(n):
-                t = off.get((k, j))
-                if not t:
-                    continue
-                prod = _series_mul(s, t, lmax)
-                if not prod:
-                    continue
-                cell = nxt.setdefault((i, j), {})
-                for l, c in prod.items():
-                    cell[l] = cell.get(l, 0) + c
-        power = {ij: {l: c for l, c in s.items() if c} for ij, s in nxt.items()}
-        power = {ij: s for ij, s in power.items() if s}
-        if not power:
-            break
-        for s in power.values():
+    while row:
+        for s in row.values():
             for l, c in s.items():
                 total[l] = total.get(l, 0) + sign * c
+        sign = -sign
+        nxt = {}
+        for i, s in row.items():
+            for j, d in steps[i]:
+                cell = nxt.setdefault(j, {})
+                for l, c in s.items():
+                    if l + d <= lmax:
+                        cell[l + d] = cell.get(l + d, 0) + c
+        # entries are nonnegative, so a row empties only when N^m does
+        row = {j: s for j, s in nxt.items() if s}
     return GradedSeries.from_dict(lmax, total)
 
 

@@ -354,7 +354,7 @@ def parse_graph_file(text: str) -> Graph:
     return Graph.undirected(n, pairs)
 
 
-def parse_metric_file(text: str, allow_pseudo: bool = False) -> QuasiMetricSpace:
+def parse_metric_file(text: str) -> QuasiMetricSpace:
     """CSV of n rows x n columns with entries 'p/q', integers, or 'inf'."""
     rows = []
     for ln in text.splitlines():
@@ -362,7 +362,7 @@ def parse_metric_file(text: str, allow_pseudo: bool = False) -> QuasiMetricSpace
         if not ln or ln.startswith("#"):
             continue
         rows.append([parse_rational(cell) for cell in ln.split(",")])
-    return QuasiMetricSpace(rows, allow_pseudo=allow_pseudo)
+    return QuasiMetricSpace(rows)
 
 
 def format_metric_csv(space: QuasiMetricSpace) -> str:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 from magnitude.cli import main
 
@@ -58,6 +60,23 @@ def test_recover_roundtrip_verdict(capsys):
     assert code == 0
     verdict = json.loads(out.strip().splitlines()[-1])
     assert verdict["roundtrip"] is True and verdict["n"] == 3
+    # a point has no adjacent pair, so nothing is truncated at kmax 0
+    code, out, _ = run(capsys, "recover", "--graph", "k1", "--kmax", "0")
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["roundtrip"] is True
+
+
+def test_ring_export_bytes_are_pinned(capsys, tmp_path):
+    """The scramble is drawn in sorted (k, l) order; in grade order the (2, 2)
+    block (rank 2) would come before (1, 3) (rank 4) and change these bytes."""
+    f = tmp_path / "m.csv"
+    f.write_text("0,1,3\n1,0,3\n3,3,0\n")
+    code, out, _ = run(
+        capsys, "ring", "--metric", str(f), "--kmax", "2", "--lmax", "3", "--seed", "1"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d093dd535ab0c628f74fa426aa2f75536181bdc1952b4361750ec837ab52f27"
+    )
 
 
 def test_recover_pseudo_metric_is_input_error(capsys, tmp_path):
@@ -159,6 +178,69 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "recover", "--ring", str(f))
         assert code == 2 and out == "", corrupt.__name__
         assert err.startswith("error:") and err.count("\n") == 1, corrupt.__name__
+    # a round trip whose truncation hides a degree-one block is an input error
+    trunc = tmp_path / "trunc.csv"
+    trunc.write_text("0,1,3\n1,0,2\n3,2,0\n")  # the adjacent pair (1, 2) has length 2
+    for argv in (("--graph", "p3", "--kmax", "0"), ("--metric", str(trunc), "--lmax", "1")):
+        code, out, err = run(capsys, "recover", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def _mutate(doc, rng):
+    """One seeded corruption of an export document, named for the report."""
+    products, entries = doc["products"], doc["bidegrees"]
+    kind = rng.choice(("drop", "perturb", "swap", "unit", "torsion", "grade", "grade_everywhere"))
+    if kind == "drop":
+        products.pop(rng.randrange(len(products)))
+    elif kind == "perturb":
+        coords = rng.choice(products)[3]
+        coords[rng.randrange(len(coords))] += rng.choice((-2, -1, 1, 2))
+    elif kind == "swap":
+        a, b = rng.sample(products, 2)
+        a[3], b[3] = b[3], a[3]
+    elif kind == "unit":
+        doc["unit"][rng.randrange(len(doc["unit"]))] += rng.choice((-1, 1, 2))
+    elif kind == "torsion":
+        # trade a free generator for a torsion one, so the dimension stays
+        entry = rng.choice([e for e in entries if e["rank"]])
+        entry["rank"] -= 1
+        entry["torsion"].append((entry["torsion"] or [1])[-1] * rng.choice((2, 3)))
+    else:
+        entry = rng.choice(entries)
+        old, new = entry["l"], rng.choice(("0", "1/2", "1", "3/2", "2", "3"))
+        entry["l"] = new
+        if kind == "grade_everywhere":
+            for product in products:
+                for part in product[:3]:
+                    if part[0] == entry["k"] and part[1] == old:
+                        part[1] = new
+    return kind
+
+
+def test_mutated_exports_recover_or_exit_2(capsys, tmp_path):
+    """Seeded mutations of scrambled exports: every run recovers a space
+    (exit 0) or reports one error line (exit 2); none raises."""
+    rng = random.Random(2024)
+    codes = []
+    for seed, graph in enumerate(("p3", "c4", "c5", "k23")):
+        code, export, _ = run(
+            capsys, "ring", "--graph", graph, "--kmax", "1", "--lmax", "2", "--seed", str(seed)
+        )
+        assert code == 0
+        for n in range(25):
+            doc = json.loads(export)
+            kind = _mutate(doc, rng)
+            f = tmp_path / f"{graph}_{n}.json"
+            f.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "recover", "--ring", str(f))
+            assert code in (0, 2), (graph, n, kind)
+            if code == 2:
+                assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            else:
+                assert err == ""
+            codes.append(code)
+    assert codes.count(0) >= 10 and codes.count(2) >= 10
 
 
 def test_metric_input(capsys, tmp_path):

@@ -13,6 +13,7 @@ from magnitude.homology import (
     homology,
     uct_check,
 )
+from magnitude.ring import random_unimodular
 from magnitude.snf import SparseMatrix
 from magnitude.spaces import builtin_graph, space_from_graph
 
@@ -116,6 +117,25 @@ def test_lattice_quotient_reduce_representative_roundtrip():
         for i in range(quotient.dim):
             coords = quotient.reduce(quotient.representative(i))
             assert coords == tuple(1 if j == i else 0 for j in range(quotient.dim))
+
+
+def test_vector_of_lifts_every_class_of_a_torsion_quotient():
+    """reduce(vector_of(c)) == c, torsion coordinates taken mod their orders,
+    on Z^2 + Z/2 + Z/6 in a seeded random basis, with and without an
+    outgoing map."""
+    rng = random.Random(8)
+    relations = [[2, 0], [0, 6], [0, 0], [0, 0], [0, 0]]  # the outgoing map reads row 4
+    m, minv = (SparseMatrix.from_dense(x) for x in random_unimodular(5, rng))
+    outgoing = SparseMatrix.from_dense([[0, 0, 0, 0, 1]]).matmul(minv)
+    with_a = LatticeQuotient(outgoing, m.matmul(SparseMatrix.from_dense(relations)), 5)
+    m4 = SparseMatrix.from_dense(random_unimodular(4, rng)[0])
+    without_a = LatticeQuotient(None, m4.matmul(SparseMatrix.from_dense(relations[:4])), 4)
+    for quotient in (with_a, without_a):
+        assert quotient.group == AbelianGroup(2, (2, 6))
+        for _ in range(25):
+            coords = [rng.randrange(-9, 10) for _ in range(quotient.dim)]
+            want = tuple(c % d if d else c for c, d in zip(coords, quotient.orders))
+            assert quotient.reduce(quotient.vector_of(coords)) == want
 
 
 def test_class_reduction_kills_coboundaries():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from magnitude.homology import MagnitudeHomology, MissingBlock
+from magnitude.homology import LatticeQuotient, MagnitudeHomology, MissingBlock
 from magnitude.ring import (
     BidegreeMismatch,
     Cochain,
@@ -257,6 +257,20 @@ def test_export_scrambling_determinism_and_unit():
         gi = [1 if t == i else 0 for t in range(pres.dim(b00))]
         _, left = pres.mult(b00, list(pres.unit), b00, gi)
         assert left == gi
+
+
+def test_export_lifts_each_basis_class_once(monkeypatch):
+    calls = []
+    vector_of = LatticeQuotient.vector_of
+
+    def counted(self, coords):
+        calls.append(coords)
+        return vector_of(self, coords)
+
+    monkeypatch.setattr(LatticeQuotient, "vector_of", counted)
+    c5 = space_from_graph(builtin_graph("c5"))
+    pres = export_presentation(c5, 2, 3, scramble_seed=4)
+    assert len(calls) == sum(pres.dim(b) for b in pres.bidegrees) == 35
 
 
 def test_from_json_rejects_malformed_documents():
