@@ -3,7 +3,10 @@
 The degree-(0,0) component of a positive-minimum space is the split ring
 Z^n whose primitive idempotents are the point indicators; for primitive
 idempotents e, f there is at most one grade l with e . MH^1_l . f != 0, and
-that grade is the distance between adjacent points.  All remaining distances
+that grade is the distance between adjacent points.  Each grade is read
+once, from the left images e . g_j of its basis for every e and the rows
+g_t . f for every f: e . MH^1_l . f != 0 exactly when some left image x has
+sum_t x_t (g_t . f) nonzero modulo the orders of MH^1_l.  The other distances
 are the shortest-path closure over chains of adjacent pairs (they exist
 because any non-adjacent finite pair can be refined through a strict
 intermediate point, and the positive minimum bounds the refinement depth).
@@ -18,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, product
+from operator import mul
 
-from .rationals import INF, ExtendedRational
+from .rationals import INF, ExtendedRational, format_grade
 from .ring import RingPresentation, export_presentation
 from .spaces import QuasiMetricSpace, is_isometric
 
@@ -150,40 +155,35 @@ def primitive_idempotents(pres: RingPresentation) -> list:
     return [Idempotent(tuple(e)) for e in sorted(idempotents)]
 
 
-def adjacency_weights(pres: RingPresentation, e: Idempotent, f: Idempotent) -> ExtendedRational:
-    """The unique grade l with e . MH^1_l . f != 0, INF if none."""
-    found = []
+def adjacency_weights(pres: RingPresentation, points: list) -> list:
+    """Weights of all ordered pairs of points, diagonal included: [a][b] is
+    the unique grade l with e_a . MH^1_l . e_b != 0, INF if none."""
+    weights = [[INF] * len(points) for _ in points]
     for l in pres.grades_in_degree(1):
-        bideg = (1, l)
-        nonzero = False
-        for j in range(pres.dim(bideg)):
-            gj = [1 if t == j else 0 for t in range(pres.dim(bideg))]
-            _, left = pres.mult(_B00, list(e.coords), bideg, gj)
-            if left is None or not any(left):
-                continue
-            _, full = pres.mult(bideg, left, _B00, list(f.coords))
-            if full is not None and any(full):
-                nonzero = True
-                break
-        if nonzero:
-            found.append(l)
-    if not found:
-        return INF
-    if len(found) > 1:
-        raise NonUniqueGrade(f"grades {found} all pair nontrivially")
-    return ExtendedRational(found[0])
+        bideg, d = (1, l), pres.dim((1, l))
+        basis = [[int(t == j) for t in range(d)] for j in range(d)]
+        lefts, columns = [], []
+        for e in points:
+            images = [pres.mult(_B00, e.coords, bideg, g)[1] for g in basis]
+            lefts.append([x for x in images if any(x)])
+            columns.append(list(zip(*(pres.mult(bideg, g, _B00, e.coords)[1] for g in basis))))
+        for (a, left), (b, cols) in product(enumerate(lefts), enumerate(columns)):
+            sums = (sum(map(mul, x, col)) for x in left for col in cols)  # x . g_t . e_b
+            if any(v % m if m else v for v, m in zip(sums, cycle(pres.orders(bideg)))):
+                if not weights[a][b].is_infinite:
+                    grades = f"{format_grade(weights[a][b].value)} and {format_grade(l)}"
+                    raise NonUniqueGrade(f"points {a} and {b} pair nontrivially in grades {grades}")
+                weights[a][b] = ExtendedRational(l)
+    return weights
 
 
 def recover_space(pres: RingPresentation) -> RecoveredSpace:
     """Idempotents, adjacency weights, then all-pairs shortest paths."""
     points = primitive_idempotents(pres)
     n = len(points)
-    dist = [[INF] * n for _ in range(n)]
+    dist = adjacency_weights(pres, points)
     for i in range(n):
         dist[i][i] = ExtendedRational(0)
-        for j in range(n):
-            if i != j:
-                dist[i][j] = adjacency_weights(pres, points[i], points[j])
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -197,6 +197,5 @@ def recovery_roundtrip(space: QuasiMetricSpace, scramble_seed=None) -> bool:
     """Export (scrambled) degrees k <= 1 up to the largest finite distance,
     serialize, recover, compare up to isometry."""
     pres = export_presentation(space, 1, space.max_finite_distance(), scramble_seed=scramble_seed)
-    reparsed = RingPresentation.from_json(pres.to_json())
-    recovered = recover_space(reparsed)
+    recovered = recover_space(RingPresentation.from_json(pres.to_json()))
     return is_isometric(space, recovered.space)

@@ -178,6 +178,20 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "recover", "--ring", str(f))
         assert code == 2 and out == "", corrupt.__name__
         assert err.startswith("error:") and err.count("\n") == 1, corrupt.__name__
+    # one point whose degree-one classes pair it with itself in grades 1 and 2
+    bidegrees = [
+        {"k": k, "l": l, "rank": 1, "torsion": []} for k, l in ((0, "0"), (1, "1"), (1, "2"))
+    ]
+    products = [[[0, "0", 0], [0, "0", 0], [0, "0"], [1]]]
+    for l in ("1", "2"):
+        products += [[[0, "0", 0], [1, l, 0], [1, l], [1]], [[1, l, 0], [0, "0", 0], [1, l], [1]]]
+    self_pair = tmp_path / "self_pair.json"
+    self_pair.write_text(json.dumps(
+        {"format": "magnitude-ring/1", "bidegrees": bidegrees, "unit": [1], "products": products}
+    ))
+    code, out, err = run(capsys, "recover", "--ring", str(self_pair))
+    assert code == 2 and out == ""
+    assert err == "error: points 0 and 0 pair nontrivially in grades 1 and 2\n"
     # a round trip whose truncation hides a degree-one block is an input error
     trunc = tmp_path / "trunc.csv"
     trunc.write_text("0,1,3\n1,0,2\n3,2,0\n")  # the adjacent pair (1, 2) has length 2

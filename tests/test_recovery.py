@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from magnitude.homology import MagnitudeHomology
-from magnitude.rationals import ExtendedRational
+from magnitude.rationals import INF, ExtendedRational
 from magnitude.recovery import (
     Idempotent,
     NonUniqueGrade,
@@ -102,11 +102,12 @@ def test_c5_distance_two_pairs_are_inf_at_weight_stage():
     c5 = space_from_graph(builtin_graph("c5"))
     pres = export_presentation(c5, 1, 2)
     idem = primitive_idempotents(pres)
-    weights = [
-        adjacency_weights(pres, a, b) for a in idem for b in idem if a != b
-    ]
+    matrix = adjacency_weights(pres, idem)
+    weights = [matrix[a][b] for a in range(5) for b in range(5) if a != b]
     assert sum(1 for w in weights if w == ExtendedRational(1)) == 10
     assert sum(1 for w in weights if w.is_infinite) == 10
+    # a 1-simplex has two distinct endpoints, so no point pairs with itself
+    assert all(matrix[a][a].is_infinite for a in range(5))
     recovered = recover_space(pres).space
     dists = sorted(
         recovered.d[i][j].value for i in range(5) for j in range(5) if i != j
@@ -126,15 +127,12 @@ def test_not_split_on_corrupt_input():
 def test_adjacency_weights_edge_and_path():
     edge = space_from_graph(builtin_graph("p2"))
     pres = export_presentation(edge, 1, 1)
-    e0, e1 = primitive_idempotents(pres)
-    assert adjacency_weights(pres, e0, e1) == ExtendedRational(1)
+    assert adjacency_weights(pres, primitive_idempotents(pres))[0][1] == ExtendedRational(1)
 
     p3 = space_from_graph(builtin_graph("p3"))
     pres = export_presentation(p3, 1, 2)
-    idem = primitive_idempotents(pres)
-    weights = sorted(
-        adjacency_weights(pres, a, b) for a in idem for b in idem if a != b
-    )
+    matrix = adjacency_weights(pres, primitive_idempotents(pres))
+    weights = sorted(matrix[a][b] for a in range(3) for b in range(3) if a != b)
     # 4 oriented edges at weight 1; the endpoints pair is INF at this stage
     assert weights[:4] == [ExtendedRational(1)] * 4
     assert weights[4].is_infinite and weights[5].is_infinite
@@ -155,9 +153,83 @@ def test_non_unique_grade_rejected():
         ((1, l2), B00): {(0, 0): (1,)},
     }
     pres = RingPresentation(bidegs, ranks, torsions, (1,), table)
-    e = primitive_idempotents(pres)[0]
+    idem = primitive_idempotents(pres)
     with pytest.raises(NonUniqueGrade):
-        adjacency_weights(pres, e, e)
+        adjacency_weights(pres, idem)
+    # a point pairing with itself is corrupt even when the space has one point
+    with pytest.raises(NonUniqueGrade, match="points 0 and 0 pair nontrivially in grades 1 and 2"):
+        recover_space(pres)
+
+
+def _pairwise_grades(pres, e, f):
+    """Reference: the grades l with e . MH^1_l . f != 0, tested one basis
+    element g_j of MH^1_l at a time as (e . g_j) . f."""
+    found = []
+    for l in pres.grades_in_degree(1):
+        bideg = (1, l)
+        d = pres.dim(bideg)
+        for j in range(d):
+            _, left = pres.mult(B00, list(e.coords), bideg, [int(t == j) for t in range(d)])
+            _, full = pres.mult(bideg, left, B00, list(f.coords))
+            if any(full):
+                found.append(l)
+                break
+    return found
+
+
+def _assert_matches_pairwise(pres):
+    idem = primitive_idempotents(pres)
+    matrix = adjacency_weights(pres, idem)
+    for a, e in enumerate(idem):
+        for b, f in enumerate(idem):
+            found = _pairwise_grades(pres, e, f)
+            assert len(found) <= 1
+            assert matrix[a][b] == (ExtendedRational(found[0]) if found else INF)
+
+
+def test_weight_matrix_matches_pairwise_reference():
+    rng = random.Random(61)
+    spaces = [space_from_graph(random_connected_graph(rng, nmax=6)) for _ in range(4)]
+    spaces += [space_from_graph(random_strongly_connected_digraph(rng, nmax=5)) for _ in range(3)]
+    spaces += [random_rational_space(rng, nmax=4) for _ in range(3)]
+    for seed, space in enumerate(spaces):
+        _assert_matches_pairwise(
+            export_presentation(space, 1, space.max_finite_distance(), scramble_seed=seed)
+        )
+
+
+def test_weight_matrix_reduces_torsion():
+    # two points joined by a free class a = e0 . a . e1 and a class b of
+    # order 3 with b = e1 . b . e0, in the basis g = a + b, t = b of
+    # MH^1_1 = Z + Z/3; e0 . g = g + 2t, so e0 . g . e0 = t + 2t is zero
+    # only after reducing mod 3
+    l1 = (1, Fraction(1))
+    table = {
+        (B00, B00): {(0, 0): (1, 0), (1, 1): (0, 1)},
+        (B00, l1): {(0, 0): (1, 2), (1, 0): (0, 1), (1, 1): (0, 1)},
+        (l1, B00): {(0, 0): (0, 1), (0, 1): (1, 2), (1, 0): (0, 1)},
+    }
+    pres = RingPresentation([B00, l1], {B00: 2, l1: 1}, {B00: (), l1: (3,)}, (1, 1), table)
+    _assert_matches_pairwise(pres)
+    idem = primitive_idempotents(pres)
+    e0, e1 = (next(a for a, e in enumerate(idem) if e.coords == c) for c in ((1, 0), (0, 1)))
+    matrix = adjacency_weights(pres, idem)
+    assert matrix[e0][e1] == matrix[e1][e0] == ExtendedRational(1)
+    assert matrix[e0][e0].is_infinite and matrix[e1][e1].is_infinite
+
+
+def test_weight_matrix_mult_calls(monkeypatch):
+    # one left image and one right-action row per point and basis element
+    c5 = space_from_graph(builtin_graph("c5"))
+    pres = export_presentation(c5, 1, 2, scramble_seed=4)
+    idem = primitive_idempotents(pres)
+    calls = []
+    mult = pres.mult
+    monkeypatch.setattr(pres, "mult", lambda *args: calls.append(args) or mult(*args))
+    adjacency_weights(pres, idem)
+    d = sum(pres.dim((1, l)) for l in pres.grades_in_degree(1))
+    assert 2 * len(idem) * d == 100
+    assert len(calls) <= 100
 
 
 def test_recover_p3_two_hop_distance():
@@ -207,6 +279,7 @@ def test_recovered_weights_match_after_matching_idempotents():
     pres = export_presentation(space, 1, space.max_finite_distance())
     engine = MagnitudeHomology(space)
     idem = primitive_idempotents(pres)
+    matrix = adjacency_weights(pres, idem)
     # unscrambled export: e_x is the class of the x-indicator 0-cochain
     match = {}
     for x in range(space.n):
@@ -215,7 +288,7 @@ def test_recovered_weights_match_after_matching_idempotents():
         ).coords
         match[x] = next(i for i, e in enumerate(idem) if e.coords == coords)
     for pair in adjacent_pairs(space):
-        got = adjacency_weights(pres, idem[match[pair.x]], idem[match[pair.y]])
+        got = matrix[match[pair.x]][match[pair.y]]
         assert got == pair.length
 
 
