@@ -4,8 +4,11 @@ Each grade l gives an independent chain complex of free abelian groups; the
 engine computes blocks lazily per (k, l) and never needs more than the
 boundaries at k and k+1 for a degree-k group.  Homology groups are reported
 as rank plus invariant-factor torsion; cohomology additionally carries an
-explicit coordinate system (cocycle representatives and a reduction map) so
-that ring operations can work with classes.
+explicit coordinate system so that ring operations can work with classes.
+Each LatticeQuotient composes its two Smith forms once into two sparse maps,
+class coordinates of a kernel vector and the representative of each class,
+plus a kernel test from the outgoing map; no Smith form outlives the
+constructor.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import complexes
-from .snf import SparseMatrix, dot, smith_normal_form
+from .snf import SparseMatrix, smith_normal_form
 from .spaces import QuasiMetricSpace
 
 
@@ -62,85 +65,71 @@ class LatticeQuotient:
     Z^n) and B the incoming map whose image is divided out.  Coordinates list
     the free classes first, then the torsion classes; torsion coordinates are
     reduced modulo their orders.
+
+    The two Smith forms are composed once into two sparse dim x n maps and
+    then dropped: `coordinates` (row i reads class coordinate i off a kernel
+    vector) and `lift` (row i is the representative of class i).  The rows of
+    V^-1 below the rank of A are the kernel test, applied to B's columns here
+    and to every vector given to reduce.
     """
 
     def __init__(self, A, B: SparseMatrix, n: int):
         self.n = n
         if A is None or A.is_zero():
-            self._snf_a = None
-            self._rank_a = 0
-            bk = B
+            ra = 0
+            self._kernel_test = SparseMatrix(0, n)
+            to_kernel = from_kernel = SparseMatrix.identity(n)
         else:
-            self._snf_a = smith_normal_form(A, need=("V", "Vinv"), divisibility=False)
-            self._rank_a = ra = self._snf_a.rank
-            # kernel coordinates of every column of B at once
-            w = self._snf_a.Vinv.matmul(B)
-            if any(r < ra for r in w.rows):
-                raise ValueError("vector is not in the kernel")
-            bk = SparseMatrix(n - ra, B.ncols, {r - ra: d for r, d in w.rows.items()})
-        self._snf_b = smith_normal_form(bk, need=("U", "Uinv"), divisibility=True)
-        rb = self._snf_b.rank
-        diag = self._snf_b.diag
-        self._free_positions = list(range(rb, n - self._rank_a))
-        self._torsion_positions = [p for p in range(rb) if diag[p] >= 2]
-        self.orders = [0] * len(self._free_positions) + [
-            diag[p] for p in self._torsion_positions
-        ]
-        self.group = AbelianGroup(len(self._free_positions), _torsion_of(diag))
+            snf_a = smith_normal_form(A, need=("V", "Vinv"), divisibility=False)
+            ra = snf_a.rank
+            self._kernel_test = _row_block(snf_a.Vinv, range(ra))
+            to_kernel = _row_block(snf_a.Vinv, range(ra, n))
+            from_kernel = _row_block(snf_a.VT, range(ra, n))
+        if not self._kernel_test.matmul(B).is_zero():
+            raise ValueError("vector is not in the kernel")
+        snf_b = smith_normal_form(to_kernel.matmul(B), need=("U", "Uinv"), divisibility=True)
+        rb, diag = snf_b.rank, snf_b.diag
+        torsion = [p for p in range(rb) if diag[p] >= 2]
+        positions = list(range(rb, n - ra)) + torsion
+        self.orders = [0] * (n - ra - rb) + [diag[p] for p in torsion]
+        self.group = AbelianGroup(n - ra - rb, _torsion_of(diag))
+        self.coordinates = _row_block(snf_b.U, positions).matmul(to_kernel)
+        self.lift = _row_block(snf_b.UinvT, positions).matmul(from_kernel)
 
     @property
     def dim(self) -> int:
         """Number of coordinates (free + torsion)."""
         return len(self.orders)
 
-    def _kernel_coords(self, vec: list) -> list:
-        if self._snf_a is None:
-            return list(vec)
-        w = self._snf_a.Vinv.matvec(vec)
-        for i in range(self._rank_a):
-            if w[i] != 0:
-                raise ValueError("vector is not in the kernel")
-        return w[self._rank_a :]
-
     def reduce(self, vec: list) -> tuple:
         """Class coordinates of a kernel vector (free part, then torsion)."""
-        w = self._kernel_coords(vec)
-        u = self._snf_b.U
-        out = []
-        for p in self._free_positions:
-            out.append(dot(u.rows.get(p, {}), w))
-        diag = self._snf_b.diag
-        for p in self._torsion_positions:
-            out.append(dot(u.rows.get(p, {}), w) % diag[p])
-        return tuple(out)
+        if any(self._kernel_test.matvec(vec)):
+            raise ValueError("vector is not in the kernel")
+        coords = self.coordinates.matvec(vec)
+        return tuple(c % d if d else c for c, d in zip(coords, self.orders))
 
     def representative(self, i: int) -> list:
         """An ambient vector representing the i-th coordinate class."""
         return self.vector_of([1 if t == i else 0 for t in range(self.dim)])
 
     def vector_of(self, coords) -> list:
-        """Ambient representative of a class given by coordinates: kernel
-        coordinates summed sparsely from the UinvT rows, then mapped through
-        the VT rows."""
-        uinvt = self._snf_b.UinvT.rows
-        kernel = {}
-        for p, c in zip(self._free_positions + self._torsion_positions, coords):
-            if c:
-                for q, v in uinvt.get(p, {}).items():
-                    kernel[q] = kernel.get(q, 0) + c * v
+        """Ambient representative of a class given by coordinates: the
+        combination of the lift rows."""
         vec = [0] * self.n
-        if self._snf_a is None:
-            for q, v in kernel.items():
-                vec[q] = v
-            return vec
-        vt = self._snf_a.VT.rows
-        for q, v in kernel.items():
-            for r, w in vt.get(self._rank_a + q, {}).items():
-                vec[r] += v * w
+        for i, c in enumerate(coords):
+            if c:
+                for q, v in self.lift.rows.get(i, {}).items():
+                    vec[q] += c * v
         return vec
 
     def is_zero_class(self, vec: list) -> bool:
         return all(c == 0 for c in self.reduce(vec))
+
+
+def _row_block(matrix: SparseMatrix, rows) -> SparseMatrix:
+    """The listed rows of a matrix, renumbered from 0."""
+    picked = {i: matrix.rows[r] for i, r in enumerate(rows) if r in matrix.rows}
+    return SparseMatrix(len(rows), matrix.ncols, picked)
 
 
 class BlockComplex:

@@ -51,8 +51,12 @@ class FinitePoset:
 
     @staticmethod
     def from_cover_relations(n: int, covers) -> "FinitePoset":
+        if n < 0:
+            raise InvalidPoset(f"negative element count {n}")
         leq = [[i == j for j in range(n)] for i in range(n)]
         for a, b in covers:
+            if not (0 <= a < n and 0 <= b < n):
+                raise InvalidPoset(f"cover {a} < {b} names an element outside 0..{n - 1}")
             leq[a][b] = True
         changed = True
         while changed:

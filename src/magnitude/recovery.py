@@ -53,8 +53,6 @@ class RecoveredSpace:
 
 def _mult0(pres: RingPresentation, a, b, modulus=None):
     _, out = pres.mult(_B00, list(a), _B00, list(b))
-    if out is None:
-        raise NotSplit("the (0,0) component is missing product data")
     if modulus is not None:
         out = [v % modulus for v in out]
     return out

@@ -216,19 +216,25 @@ class RingPresentation:
         return tuple(v % d if d else v for v, d in zip(vec, orders))
 
     def mult(self, bideg_a, vec_a, bideg_b, vec_b):
-        """Bilinear product; returns (target_bidegree, coords) with None
-        coordinates when the target block is trivial or not recorded."""
+        """Bilinear product, summed over the supports of the two factors;
+        returns (target_bidegree, coords) with None coordinates when the
+        target block is trivial or not recorded."""
         target = (bideg_a[0] + bideg_b[0], bideg_a[1] + bideg_b[1])
         pairs = self.table.get((bideg_a, bideg_b))
         if target not in self.ranks:
             return target, None
         acc = [0] * self.dim(target)
         if pairs:
-            for (i, j), coords in pairs.items():
-                c = vec_a[i] * vec_b[j]
-                if c:
-                    for t, v in enumerate(coords):
-                        acc[t] += c * v
+            support_b = [(j, b) for j, b in enumerate(vec_b) if b]
+            for i, a in enumerate(vec_a):
+                if not a:
+                    continue
+                for j, b in support_b:
+                    coords = pairs.get((i, j))
+                    if coords:
+                        c = a * b
+                        for t, v in enumerate(coords):
+                            acc[t] += c * v
         return target, list(self._normalize(target, acc))
 
     # -- serialization ------------------------------------------------------
@@ -351,13 +357,6 @@ def random_unimodular(n: int, rng: random.Random):
     return t, tinv
 
 
-def _transform_coords(coords, tinv, rank):
-    """Move engine coordinates into the scrambled basis: the free block is
-    multiplied by T^-1, torsion coordinates pass through."""
-    free = [sum(tinv[i][j] * coords[j] for j in range(rank)) for i in range(rank)]
-    return tuple(free) + tuple(coords[rank:])
-
-
 def export_presentation(
     space: QuasiMetricSpace,
     kmax: int,
@@ -370,7 +369,8 @@ def export_presentation(
     independent random unimodular change of basis so the export carries no
     residue of the simplex bases.  Pseudo spaces are refused (ZeroDistance).
     Each scrambled basis class is lifted once (representative) and every
-    product is read back through class_of, as in class_product.
+    product is read back through class_of, as in class_product, then moved
+    into the scrambled basis by one sparse product with T^-1.
     """
     lmax = Fraction(lmax)
     if space.n == 0:
@@ -385,10 +385,7 @@ def export_presentation(
     bidegrees = sorted(groups)
     rng = random.Random(scramble_seed) if scramble_seed is not None else None
 
-    def coordinate_map(tinv, rank):
-        return lambda cochain: _transform_coords(class_of(engine, cochain).coords, tinv, rank)
-
-    basis, coords_of = {}, {}
+    basis, scramble = {}, {}
     for (k, l) in bidegrees:  # sorted order fixes which draws each scramble takes
         r, nt = groups[k, l].rank, len(groups[k, l].torsion)
         if rng is None:
@@ -399,20 +396,22 @@ def export_presentation(
         gens = [[t[s][i] for s in range(r)] + [0] * nt for i in range(r)]
         gens += [[0] * r + [1 if s == i else 0 for s in range(nt)] for i in range(nt)]
         basis[k, l] = [representative(engine, RingClass(k, l, tuple(g))) for g in gens]
-        coords_of[k, l] = coordinate_map(tinv, r)
+        # T^-1 on the free coordinates, the identity on the torsion ones
+        scramble[k, l] = SparseMatrix.from_dense([row + [0] * nt for row in tinv] + gens[r:])
 
-    unit = coords_of[0, Fraction(0)](unit_cochain(engine))
+    unit = scramble[0, Fraction(0)].matvec(unit_class(engine).coords)
     table = {}
     for ba in bidegrees:
         for bb in bidegrees:
             target = (ba[0] + bb[0], ba[1] + bb[1])
-            if target not in coords_of:
+            if target not in scramble:
                 continue  # trivial or truncated target: all products are zero
-            to_coords = coords_of[target]
+            to_coords = scramble[target]
             pairs = {}
             for i, phi in enumerate(basis[ba]):
                 for j, psi in enumerate(basis[bb]):
-                    coords = to_coords(cup_cochain(engine, phi, psi))
+                    cochain = cup_cochain(engine, phi, psi)
+                    coords = tuple(to_coords.matvec(class_of(engine, cochain).coords))
                     if any(coords):
                         pairs[(i, j)] = coords
             if pairs:

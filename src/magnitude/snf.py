@@ -426,7 +426,3 @@ def rank(matrix: SparseMatrix) -> int:
 
 def invariant_factors(matrix: SparseMatrix) -> list:
     return smith_normal_form(matrix, need=(), divisibility=True).diag
-
-
-def dot(vec_dict: dict, vec: list) -> int:
-    return sum(v * vec[c] for c, v in vec_dict.items())

@@ -141,6 +141,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", "series", "--graph", "k3")
     assert code == 2
+    # covers naming an element outside 0..n-1, and a negative element count
+    for name, text in (("above", "3\n0 < 5\n"), ("negative", "3\n0 < -1\n"), ("count", "-1\n")):
+        poset = tmp_path / f"{name}.poset"
+        poset.write_text(text)
+        code, out, err = run(capsys, "verify", "poset", "--poset", str(poset), "--kmax", "2")
+        assert code == 2 and out == "", name
+        assert err.startswith("error:") and err.count("\n") == 1, name
     bare = tmp_path / "bare.json"
     bare.write_text('{"format":"magnitude-ring/1"}')
     code, _, err = run(capsys, "recover", "--ring", str(bare))

@@ -14,7 +14,7 @@ from magnitude.homology import (
     uct_check,
 )
 from magnitude.ring import random_unimodular
-from magnitude.snf import SparseMatrix
+from magnitude.snf import SmithDecomposition, SparseMatrix
 from magnitude.spaces import builtin_graph, space_from_graph
 
 from samples import random_rational_space, random_strongly_connected_digraph
@@ -88,6 +88,23 @@ def test_lattice_quotient_rejects_incoming_map_outside_kernel():
         LatticeQuotient(A, SparseMatrix.from_dense([[0, 1], [1, 0]]), 2)
 
 
+def test_reduce_rejects_a_vector_outside_the_kernel():
+    # the indicator of (0, 2) is not a cocycle: (0, 1, 2) has (0, 2) as a face
+    engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")))
+    quotient = engine.cohomology_quotient(1, 2)
+    vec = [0] * len(engine.simplices(1, 2))
+    vec[engine.index(1, 2)[(0, 2)]] = 1
+    with pytest.raises(ValueError, match="not in the kernel"):
+        quotient.reduce(vec)
+
+
+def test_built_quotient_keeps_no_smith_decomposition():
+    engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")))
+    for quotient in (engine.cohomology_quotient(2, 3), engine.homology_quotient(2, 3)):
+        assert quotient.dim > 0
+        assert not any(isinstance(v, SmithDecomposition) for v in vars(quotient).values())
+
+
 def test_homology_table_reduces_each_boundary_once(monkeypatch):
     module = importlib.import_module("magnitude.homology")  # the package re-exports homology()
     calls = []
@@ -127,11 +144,15 @@ def test_vector_of_lifts_every_class_of_a_torsion_quotient():
     relations = [[2, 0], [0, 6], [0, 0], [0, 0], [0, 0]]  # the outgoing map reads row 4
     m, minv = (SparseMatrix.from_dense(x) for x in random_unimodular(5, rng))
     outgoing = SparseMatrix.from_dense([[0, 0, 0, 0, 1]]).matmul(minv)
-    with_a = LatticeQuotient(outgoing, m.matmul(SparseMatrix.from_dense(relations)), 5)
+    incoming = m.matmul(SparseMatrix.from_dense(relations))
+    with_a = LatticeQuotient(outgoing, incoming, 5)
     m4 = SparseMatrix.from_dense(random_unimodular(4, rng)[0])
-    without_a = LatticeQuotient(None, m4.matmul(SparseMatrix.from_dense(relations[:4])), 4)
-    for quotient in (with_a, without_a):
+    incoming4 = m4.matmul(SparseMatrix.from_dense(relations[:4]))
+    without_a = LatticeQuotient(None, incoming4, 4)
+    for quotient, b in ((with_a, incoming), (without_a, incoming4)):
         assert quotient.group == AbelianGroup(2, (2, 6))
+        for c in range(b.ncols):  # every relation is the zero class
+            assert quotient.reduce([b.entry(r, c) for r in range(b.nrows)]) == (0,) * quotient.dim
         for _ in range(25):
             coords = [rng.randrange(-9, 10) for _ in range(quotient.dim)]
             want = tuple(c % d if d else c for c, d in zip(coords, quotient.orders))

@@ -1,6 +1,8 @@
-"""The benchmark's own self-test, run from the repository root: it wraps
-engine functions by name, so a renamed or re-signed function breaks it."""
+"""The benchmark's own self-test and one pass of its ring workload, run from
+the repository root: the harness wraps engine functions by name, so a renamed
+or re-signed function breaks it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +19,18 @@ def test_benchmark_selftest_passes():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_ring_workload_pass_is_correct():
+    """One untraced pass of the ring workload: the export's sha256 and the
+    class products are checked against perfbench/reference.json."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "ring",
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True, proc.stdout

@@ -65,18 +65,51 @@ def test_empty_presentation_recovers_empty_space():
     assert recovered.space.n == 0
 
 
-def test_presentation_mult_reduces_torsion_coordinates():
+def _torsion_presentation():
     # synthetic bidegree with a torsion generator of order 3: products wrap
     bideg = (2, Fraction(2))
     table = {
         (B00, B00): {(0, 0): (1,)},
         (B00, bideg): {(0, 0): (5,)},  # unit * t = 5t = 2t mod 3
     }
-    pres = RingPresentation(
+    return RingPresentation(
         [B00, bideg], {B00: 1, bideg: 0}, {B00: (), bideg: (3,)}, (1,), table
     )
-    _, out = pres.mult(B00, [1], bideg, [1])
+
+
+def test_presentation_mult_reduces_torsion_coordinates():
+    _, out = _torsion_presentation().mult(B00, [1], (2, Fraction(2)), [1])
     assert out == [2]
+
+
+def _full_walk_mult(pres, bideg_a, vec_a, bideg_b, vec_b):
+    """Reference product: every entry of the pair's table, then reduction."""
+    target = (bideg_a[0] + bideg_b[0], bideg_a[1] + bideg_b[1])
+    if target not in pres.ranks:
+        return target, None
+    acc = [0] * pres.dim(target)
+    for (i, j), coords in pres.table.get((bideg_a, bideg_b), {}).items():
+        for t, v in enumerate(coords):
+            acc[t] += vec_a[i] * vec_b[j] * v
+    return target, [v % d if d else v for v, d in zip(acc, pres.orders(target))]
+
+
+def test_mult_matches_a_full_walk_of_the_table():
+    rng = random.Random(11)
+    presentations = [_torsion_presentation()] + [
+        export_presentation(space_from_graph(builtin_graph(name)), 2, 3, scramble_seed=seed)
+        for name, seed in (("c5", 4), ("k23", 1))
+    ]
+    for pres in presentations:
+        for ba in pres.bidegrees:
+            for bb in pres.bidegrees:
+                da, db = pres.dim(ba), pres.dim(bb)
+                vectors = [([int(i == 0) for i in range(da)], [int(j == db - 1) for j in range(db)])]
+                for _ in range(3):  # a sparse left factor, a dense right one
+                    a = [rng.randrange(-3, 4) * (rng.random() < 0.3) for _ in range(da)]
+                    vectors.append((a, [rng.randrange(-3, 4) for _ in range(db)]))
+                for a, b in vectors:
+                    assert pres.mult(ba, a, bb, b) == _full_walk_mult(pres, ba, a, bb, b)
 
 
 def test_idempotents_of_z2_in_funny_basis():

@@ -1,6 +1,6 @@
 import random
 
-from magnitude.snf import SparseMatrix, dot, invariant_factors, rank, smith_normal_form
+from magnitude.snf import SparseMatrix, invariant_factors, rank, smith_normal_form
 
 
 def verify_decomposition(matrix):
@@ -75,7 +75,3 @@ def test_determinism():
     b = smith_normal_form(SparseMatrix.from_dense(dense))
     assert a.diag == b.diag
     assert a.U == b.U and a.VT == b.VT and a.Vinv == b.Vinv and a.UinvT == b.UinvT
-
-
-def test_dot_helper():
-    assert dot({0: 2, 3: -1}, [5, 0, 0, 7]) == 3
