@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import cyclic, graph_algebra, posets, series
@@ -24,6 +25,7 @@ from .rationals import format_grade
 from .recovery import recover_space
 from .ring import RingPresentation, export_presentation
 from .spaces import (
+    InputError,
     adjacent_pairs,
     builtin_graph,
     format_metric_csv,
@@ -37,8 +39,16 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-class InputError(Exception):
-    pass
+@contextmanager
+def _parsing():
+    """Report a ValueError raised while reading a flag or an input file as an
+    InputError; ValueErrors of the engine itself are faults, not exit 2."""
+    try:
+        yield
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError(exc) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,10 +60,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _space_from_args(args):
-    if getattr(args, "metric", None):
-        return load_space(args.metric, kind="metric")
-    if getattr(args, "graph", None):
-        return load_space(args.graph, kind="graph")
+    with _parsing():
+        if getattr(args, "metric", None):
+            return load_space(args.metric, kind="metric")
+        if getattr(args, "graph", None):
+            return load_space(args.graph, kind="graph")
     raise InputError("one of --graph or --metric is required")
 
 
@@ -110,9 +121,9 @@ def cmd_ring(args) -> int:
 
 def cmd_recover(args) -> int:
     if args.ring:
-        with open(args.ring) as fh:
-            pres = RingPresentation.from_json(fh.read())
-        recovered = recover_space(pres)
+        with _parsing(), open(args.ring) as fh:
+            text = fh.read()
+        recovered = recover_space(RingPresentation.from_json(text))
         _emit(format_metric_csv(recovered.space), args.out)
         return EXIT_OK
     space = _space_from_args(args)
@@ -150,10 +161,12 @@ def cmd_verify(args) -> int:
     if args.check == "diagonal":
         if not args.graph:
             raise InputError("--graph is required")
-        graph = load_graph(args.graph)
+        with _parsing():
+            graph = load_graph(args.graph)
         if args.lmax is None:
             raise InputError("verify diagonal needs --lmax")
-        lmax = int(args.lmax)
+        with _parsing():
+            lmax = int(args.lmax)
         kmax = args.kmax if args.kmax is not None else min(lmax, 3)
         theorem_ok, failures = graph_algebra.verify_diagonal_theorem(graph, kmax)
         diagonal, witness = graph_algebra.is_diagonal(graph, lmax)
@@ -235,7 +248,7 @@ def cmd_verify(args) -> int:
 
 def _poset_from_source(source: str):
     if os.path.exists(source):
-        with open(source) as fh:
+        with _parsing(), open(source) as fh:
             return posets.parse_poset_file(fh.read())
     name = source.strip().lower()
     if name == "circle":
@@ -303,15 +316,14 @@ def main(argv=None) -> int:
         for flag in ("kmax", "lmax"):
             value = getattr(args, flag, None)
             try:
-                negative = value is not None and Fraction(value) < 0
+                with _parsing():
+                    negative = value is not None and Fraction(value) < 0
             except ZeroDivisionError:
                 raise InputError(f"--{flag} has a zero denominator: {value}") from None
             if negative:
                 raise InputError(f"--{flag} must be nonnegative, got {value}")
         return args.fn(args)
-    # InvalidSpace, ZeroDistance, InvalidPoset and InvalidPresentation are
-    # ValueErrors
-    except (InputError, OSError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,12 +26,12 @@ from .ring import (
     representative,
 )
 from .snf import SparseMatrix, smith_normal_form
-from .spaces import cycle_graph, space_from_graph
+from .spaces import InvalidSpace, cycle_graph, space_from_graph
 
 
 def half(n: int) -> int:
     if n < 5 or n % 2 == 0:
-        raise ValueError(f"need an odd cycle C_n with n >= 5, got n={n}")
+        raise InvalidSpace(f"need an odd cycle C_n with n >= 5, got n={n}")
     return (n - 1) // 2
 
 

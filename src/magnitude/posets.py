@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from .homology import BlockComplex
 from .snf import SparseMatrix
+from .spaces import InputError
 
 
-class InvalidPoset(ValueError):
+class InvalidPoset(InputError):
     pass
 
 

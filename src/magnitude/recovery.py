@@ -5,7 +5,9 @@ Z^n whose primitive idempotents are the point indicators; for primitive
 idempotents e, f there is at most one grade l with e . MH^1_l . f != 0, and
 that grade is the distance between adjacent points.  Each grade is read
 once, from the left images e . g_j of its basis for every e and the rows
-g_t . f for every f: e . MH^1_l . f != 0 exactly when some left image x has
+g_t . f for every f, each read in one pass over the (0,0) x (1,l) or the
+(1,l) x (0,0) entries of the product table, not through
+RingPresentation.mult: e . MH^1_l . f != 0 exactly when some left image x has
 sum_t x_t (g_t . f) nonzero modulo the orders of MH^1_l.  The other distances
 are the shortest-path closure over chains of adjacent pairs (they exist
 because any non-adjacent finite pair can be refined through a strict
@@ -26,17 +28,17 @@ from operator import mul
 
 from .rationals import INF, ExtendedRational, format_grade
 from .ring import RingPresentation, export_presentation
-from .spaces import QuasiMetricSpace, is_isometric
+from .spaces import InputError, QuasiMetricSpace, is_isometric
 
 _B00 = (0, Fraction(0))
 _HENSEL_CAP = 4096  # bits; far beyond any coordinate produced by scrambling
 
 
-class NotSplit(ValueError):
+class NotSplit(InputError):
     """The (0,0) component does not decompose as Z^n."""
 
 
-class NonUniqueGrade(ValueError):
+class NonUniqueGrade(InputError):
     """Two grades carry e . MH^1_l . f != 0: corrupt presentation."""
 
 
@@ -153,21 +155,38 @@ def primitive_idempotents(pres: RingPresentation) -> list:
     return [Idempotent(tuple(e)) for e in sorted(idempotents)]
 
 
+def _actions(pairs, e, side: int, orders: list) -> list:
+    """The images of the basis g_j of a degree-one grade under the idempotent
+    e, read in one pass over a pair's table and reduced modulo the grade's
+    orders, as mult reduces them: row j is e . g_j from the (0,0) x (1,l)
+    entries (side 0: e indexes the first factor) or g_j . e from the
+    (1,l) x (0,0) entries (side 1)."""
+    rows = [[0] * len(orders) for _ in orders]
+    for key, coords in pairs.items():
+        c = e[key[side]]
+        if c:
+            row = rows[key[1 - side]]
+            for t, v in enumerate(coords):
+                row[t] += c * v
+    return [[v % m if m else v for v, m in zip(row, orders)] for row in rows]
+
+
 def adjacency_weights(pres: RingPresentation, points: list) -> list:
     """Weights of all ordered pairs of points, diagonal included: [a][b] is
     the unique grade l with e_a . MH^1_l . e_b != 0, INF if none."""
     weights = [[INF] * len(points) for _ in points]
     for l in pres.grades_in_degree(1):
-        bideg, d = (1, l), pres.dim((1, l))
-        basis = [[int(t == j) for t in range(d)] for j in range(d)]
+        bideg = (1, l)
+        orders = pres.orders(bideg)
+        left_pairs = pres.table.get((_B00, bideg), {})
+        right_pairs = pres.table.get((bideg, _B00), {})
         lefts, columns = [], []
         for e in points:
-            images = [pres.mult(_B00, e.coords, bideg, g)[1] for g in basis]
-            lefts.append([x for x in images if any(x)])
-            columns.append(list(zip(*(pres.mult(bideg, g, _B00, e.coords)[1] for g in basis))))
+            lefts.append([x for x in _actions(left_pairs, e.coords, 0, orders) if any(x)])
+            columns.append(list(zip(*_actions(right_pairs, e.coords, 1, orders))))
         for (a, left), (b, cols) in product(enumerate(lefts), enumerate(columns)):
             sums = (sum(map(mul, x, col)) for x in left for col in cols)  # x . g_t . e_b
-            if any(v % m if m else v for v, m in zip(sums, cycle(pres.orders(bideg)))):
+            if any(v % m if m else v for v, m in zip(sums, cycle(orders))):
                 if not weights[a][b].is_infinite:
                     grades = f"{format_grade(weights[a][b].value)} and {format_grade(l)}"
                     raise NonUniqueGrade(f"points {a} and {b} pair nontrivially in grades {grades}")

@@ -25,14 +25,14 @@ from .complexes import realizable_grades
 from .homology import AbelianGroup, MagnitudeHomology
 from .rationals import format_grade, parse_grade
 from .snf import SparseMatrix, smith_normal_form
-from .spaces import QuasiMetricSpace
+from .spaces import InputError, QuasiMetricSpace
 
 
 class BidegreeMismatch(ValueError):
     pass
 
 
-class InvalidPresentation(ValueError):
+class InvalidPresentation(InputError):
     """A presentation document that is not a well-formed export."""
 
 
@@ -201,6 +201,7 @@ class RingPresentation:
         self.torsions = dict(torsions)  # bidegree -> tuple of orders
         self.unit = tuple(unit)  # coordinates in bidegree (0, 0)
         self.table = dict(table)  # (bidegA, bidegB) -> {(i, j): coords tuple}
+        self._pairs = {}  # (bidegA, bidegB) -> (target, its orders or None, table)
 
     def dim(self, bideg) -> int:
         return self.ranks[bideg] + len(self.torsions[bideg])
@@ -211,19 +212,21 @@ class RingPresentation:
     def grades_in_degree(self, k: int) -> list:
         return sorted(l for (kk, l) in self.bidegrees if kk == k)
 
-    def _normalize(self, bideg, vec) -> tuple:
-        orders = self.orders(bideg)
-        return tuple(v % d if d else v for v, d in zip(vec, orders))
-
     def mult(self, bideg_a, vec_a, bideg_b, vec_b):
         """Bilinear product, summed over the supports of the two factors;
         returns (target_bidegree, coords) with None coordinates when the
-        target block is trivial or not recorded."""
-        target = (bideg_a[0] + bideg_b[0], bideg_a[1] + bideg_b[1])
-        pairs = self.table.get((bideg_a, bideg_b))
-        if target not in self.ranks:
+        target block is trivial or not recorded.  The target, its orders and
+        the pair's table are looked up once per pair of bidegrees."""
+        key = (bideg_a, bideg_b)
+        pair = self._pairs.get(key)
+        if pair is None:
+            target = (bideg_a[0] + bideg_b[0], bideg_a[1] + bideg_b[1])
+            orders = self.orders(target) if target in self.ranks else None
+            pair = self._pairs[key] = (target, orders, self.table.get(key))
+        target, orders, pairs = pair
+        if orders is None:
             return target, None
-        acc = [0] * self.dim(target)
+        acc = [0] * len(orders)
         if pairs:
             support_b = [(j, b) for j, b in enumerate(vec_b) if b]
             for i, a in enumerate(vec_a):
@@ -235,47 +238,57 @@ class RingPresentation:
                         c = a * b
                         for t, v in enumerate(coords):
                             acc[t] += c * v
-        return target, list(self._normalize(target, acc))
+        return target, [v % d if d else v for v, d in zip(acc, orders)]
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        bidegrees = [
-            {
-                "k": k,
-                "l": format_grade(l),
-                "rank": self.ranks[(k, l)],
-                "torsion": list(self.torsions[(k, l)]),
-            }
+        """The bytes of json.dumps(doc, indent=1, sort_keys=True) + "\n" for
+        the export document, rendered one product at a time: every product
+        of a pair of bidegrees fills the same template with i, j and its
+        coordinates, so no general encoder walks the products."""
+        bidegrees = (
+            f'{{\n   "k": {k},\n   "l": "{format_grade(l)}",\n   "rank": {self.ranks[k, l]},\n'
+            f'   "torsion": {_layout(map(str, self.torsions[k, l]), 3)}\n  }}'
             for (k, l) in self.bidegrees
-        ]
-        products = []
+        )
+        return (
+            f'{{\n "bidegrees": {_layout(bidegrees, 1)},\n "format": "{FORMAT_TAG}",\n'
+            f' "products": {_layout(self._rendered_products(), 1)},\n'
+            f' "unit": {_layout(map(str, self.unit), 1)}\n}}\n'
+        )
+
+    def _rendered_products(self):
+        """The nonzero products in sorted order, each rendered at depth 2."""
         for (ba, bb) in sorted(self.table):
-            for (i, j) in sorted(self.table[(ba, bb)]):
-                coords = self.table[(ba, bb)][(i, j)]
+            la, lb, lt = format_grade(ba[1]), format_grade(bb[1]), format_grade(ba[1] + bb[1])
+            template = _layout(
+                [
+                    _layout([str(ba[0]), f'"{la}"', "{i}"], 3),
+                    _layout([str(bb[0]), f'"{lb}"', "{j}"], 3),
+                    _layout([str(ba[0] + bb[0]), f'"{lt}"'], 3),
+                    "{coords}",
+                ],
+                2,
+            )
+            pairs = self.table[ba, bb]
+            for (i, j) in sorted(pairs):
+                coords = pairs[i, j]
                 if any(coords):
-                    products.append(
-                        [
-                            [ba[0], format_grade(ba[1]), i],
-                            [bb[0], format_grade(bb[1]), j],
-                            [ba[0] + bb[0], format_grade(ba[1] + bb[1])],
-                            list(coords),
-                        ]
-                    )
-        doc = {
-            "format": FORMAT_TAG,
-            "bidegrees": bidegrees,
-            "unit": list(self.unit),
-            "products": products,
-        }
-        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+                    yield template.format(i=i, j=j, coords=_layout(map(str, coords), 3))
 
     @staticmethod
     def from_json(text: str) -> "RingPresentation":
         """Parse and validate a document in one pass over it; anything that is
         not a well-formed export raises InvalidPresentation.  Products name
-        bidegrees by the same (k, l) values the bidegree entries declare."""
-        doc = json.loads(text)
+        bidegrees by the same (k, l) values the bidegree entries declare; the
+        lookups, dimensions and target of each distinct product key are
+        checked once, and a product that repeats an earlier (i, j) of the
+        same pair of bidegrees is refused."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise InvalidPresentation(exc) from None
         tag = doc.get("format") if isinstance(doc, dict) else None
         _require(tag == FORMAT_TAG, "presentation", f"unrecognized format {tag!r}")
         for field in ("bidegrees", "unit", "products"):
@@ -302,25 +315,42 @@ class RingPresentation:
             _is_int_list(unit) and len(unit) == dims.get((0, Fraction(0)), 0),
             "unit", "not an integer list as long as dim(0, 0)",
         )
-        table = {}
+        table, keys = {}, {}
         for n, product in enumerate(doc["products"]):
             where = f"product {n}"
             try:
                 (ka, la, i), (kb, lb, j), (kt, lt), coords = product
-                ba, bb, bt = declared[ka, la], declared[kb, lb], declared[kt, lt]
+                key = (ka, la, kb, lb, kt, lt)
+                block = keys.get(key)
+                if block is None:
+                    ba, bb, bt = declared[ka, la], declared[kb, lb], declared[kt, lt]
+                    block = keys[key] = (
+                        dims[ba], dims[bb], dims[bt],
+                        bt == (ba[0] + bb[0], ba[1] + bb[1]),
+                        table.setdefault((ba, bb), {}),
+                    )
             except (KeyError, TypeError, ValueError):
                 raise InvalidPresentation(f"{where}: malformed or undeclared bidegree") from None
+            da, db, dt, is_sum, pairs = block
             _require(
-                _is_count(i) and i < dims[ba] and _is_count(j) and j < dims[bb],
-                where, "index out of range",
+                _is_count(i) and i < da and _is_count(j) and j < db, where, "index out of range"
             )
-            _require(bt == (ba[0] + bb[0], ba[1] + bb[1]), where, "target is not the sum")
+            _require(is_sum, where, "target is not the sum")
             _require(
-                _is_int_list(coords) and len(coords) == dims[bt],
+                _is_int_list(coords) and len(coords) == dt,
                 where, "coordinates do not match the target's dimension",
             )
-            table.setdefault((ba, bb), {})[(i, j)] = tuple(coords)
+            _require((i, j) not in pairs, where, "repeats an earlier product")
+            pairs[i, j] = tuple(coords)
         return RingPresentation(sorted(ranks), ranks, torsions, unit, table)
+
+
+def _layout(items, depth: int) -> str:
+    """Rendered items as one JSON array, laid out as json.dumps(indent=1)
+    lays it out when its opening bracket sits at this nesting depth."""
+    pad = "\n" + " " * (depth + 1)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}\n{' ' * depth}]" if body else "[]"
 
 
 def _require(ok: bool, where: str, problem: str) -> None:

@@ -23,7 +23,13 @@ from typing import Iterable, Sequence
 from .rationals import INF, ExtendedRational, format_rational, parse_rational
 
 
-class ZeroDistance(ValueError):
+class InputError(ValueError):
+    """Malformed input: a flag, a space, graph, poset or presentation file, or
+    a presentation that no space has.  The command line reports exactly these
+    (and OSError) as exit 2; any other ValueError is a fault of the engine."""
+
+
+class ZeroDistance(InputError):
     """Two distinct points at distance zero: a pseudo space."""
 
     def __init__(self, x: int, y: int):
@@ -31,7 +37,7 @@ class ZeroDistance(ValueError):
         self.pair = (x, y)
 
 
-class InvalidSpace(ValueError):
+class InvalidSpace(InputError):
     pass
 
 

@@ -2,6 +2,9 @@ import hashlib
 import json
 import random
 
+import pytest
+
+from magnitude import cli
 from magnitude.cli import main
 
 
@@ -177,7 +180,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
     def short_coords(doc):
         doc["products"][0][3].pop()
 
-    for corrupt in (drop_rank, string_bidegree, short_unit, index_99, short_coords):
+    def repeat_product_9(doc):
+        # the seeded export with a second product 9, every coordinate plus 1:
+        # kept, the repeat would recover a triangle from p3
+        doc.update(json.loads(seeded))
+        first, second, target, coords = doc["products"][9]
+        doc["products"].append([first, second, target, [v + 1 for v in coords]])
+
+    code, seeded, _ = run(
+        capsys, "ring", "--graph", "p3", "--kmax", "1", "--lmax", "2", "--seed", "1"
+    )
+    assert code == 0
+    corruptions = (drop_rank, string_bidegree, short_unit, index_99, short_coords, repeat_product_9)
+    for corrupt in corruptions:
         doc = json.loads(export)
         corrupt(doc)
         f = tmp_path / f"{corrupt.__name__}.json"
@@ -185,6 +200,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "recover", "--ring", str(f))
         assert code == 2 and out == "", corrupt.__name__
         assert err.startswith("error:") and err.count("\n") == 1, corrupt.__name__
+    assert err == "error: product 33: repeats an earlier product\n"  # the last case
     # one point whose degree-one classes pair it with itself in grades 1 and 2
     bidegrees = [
         {"k": k, "l": l, "rank": 1, "torsion": []} for k, l in ((0, "0"), (1, "1"), (1, "2"))
@@ -206,6 +222,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "recover", *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_engine_value_error_is_not_an_input_error(capsys, monkeypatch):
+    """Only InputError and OSError exit 2; a ValueError raised inside the
+    engine is a fault and propagates."""
+
+    def fault(*args, **kwargs):
+        raise ValueError("vector is not in the kernel")
+
+    monkeypatch.setattr(cli, "export_presentation", fault)
+    with pytest.raises(ValueError, match="vector is not in the kernel"):
+        main(["ring", "--graph", "p3", "--kmax", "1", "--lmax", "2"])
+    assert capsys.readouterr().err == ""
 
 
 def _mutate(doc, rng):

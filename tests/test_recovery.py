@@ -252,7 +252,7 @@ def test_weight_matrix_reduces_torsion():
 
 
 def test_weight_matrix_mult_calls(monkeypatch):
-    # one left image and one right-action row per point and basis element
+    # the left images and right-action rows are read from the product tables
     c5 = space_from_graph(builtin_graph("c5"))
     pres = export_presentation(c5, 1, 2, scramble_seed=4)
     idem = primitive_idempotents(pres)
@@ -260,9 +260,7 @@ def test_weight_matrix_mult_calls(monkeypatch):
     mult = pres.mult
     monkeypatch.setattr(pres, "mult", lambda *args: calls.append(args) or mult(*args))
     adjacency_weights(pres, idem)
-    d = sum(pres.dim((1, l)) for l in pres.grades_in_degree(1))
-    assert 2 * len(idem) * d == 100
-    assert len(calls) <= 100
+    assert calls == []
 
 
 def test_recover_p3_two_hop_distance():

@@ -31,7 +31,8 @@ from magnitude.spaces import (
     space_from_graph,
 )
 
-from samples import random_rational_space
+from samples import BUILTIN_NAMES, random_rational_space
+from test_recovery import _torsion_presentation
 
 
 def random_cochain(rng, engine, k, l):
@@ -273,6 +274,30 @@ def test_export_lifts_each_basis_class_once(monkeypatch):
     assert len(calls) == sum(pres.dim(b) for b in pres.bidegrees) == 35
 
 
+def _repeat_product_9(doc):
+    """Append a second product 9, every coordinate plus 1."""
+    first, second, target, coords = doc["products"][9]
+    doc["products"].append([first, second, target, [v + 1 for v in coords]])
+
+
+def test_to_json_renders_the_json_dumps_bytes():
+    presentations = [
+        RingPresentation([], {}, {}, (), {}),
+        export_presentation(QuasiMetricSpace([[0]]), 1, 1),
+        _torsion_presentation(),
+    ]
+    for name in BUILTIN_NAMES:
+        space = space_from_graph(builtin_graph(name))
+        for seed in (None, 3):
+            presentations.append(
+                export_presentation(space, 1, space.max_finite_distance(), scramble_seed=seed)
+            )
+    assert '"torsion": [\n    3\n   ]' in presentations[2].to_json()
+    for pres in presentations:
+        text = pres.to_json()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
 def test_from_json_rejects_malformed_documents():
     export = export_presentation(space_from_graph(builtin_graph("p3")), 1, 2).to_json()
     assert RingPresentation.from_json(export).to_json() == export
@@ -300,6 +325,8 @@ def test_from_json_rejects_malformed_documents():
     for edit in edits:
         with pytest.raises(InvalidPresentation):
             RingPresentation.from_json(corrupted(edit))
+    with pytest.raises(InvalidPresentation, match="repeats an earlier product"):
+        RingPresentation.from_json(corrupted(_repeat_product_9))
 
 
 def test_edge_presentation_is_pointwise_ring():
