@@ -123,8 +123,7 @@ def cmd_recover(args) -> int:
     if args.ring:
         with _parsing(), open(args.ring) as fh:
             text = fh.read()
-        recovered = recover_space(RingPresentation.from_json(text))
-        _emit(format_metric_csv(recovered.space), args.out)
+        _emit(format_metric_csv(recover_space(RingPresentation.from_json(text))), args.out)
         return EXIT_OK
     space = _space_from_args(args)
     lmax = Fraction(args.lmax) if args.lmax is not None else space.max_finite_distance()
@@ -137,8 +136,8 @@ def cmd_recover(args) -> int:
         )
     pres = export_presentation(space, args.kmax, lmax, scramble_seed=args.seed)
     recovered = recover_space(RingPresentation.from_json(pres.to_json()))
-    verdict = is_isometric(space, recovered.space)
-    _emit(format_metric_csv(recovered.space), args.out)
+    verdict = is_isometric(space, recovered)
+    _emit(format_metric_csv(recovered), args.out)
     sys.stdout.write(
         json.dumps(
             {"roundtrip": verdict, "n": space.n, "seed": args.seed}, sort_keys=True

@@ -14,14 +14,16 @@ because any non-adjacent finite pair can be refined through a strict
 intermediate point, and the positive minimum bounds the refinement depth).
 
 Everything here consumes only an opaque RingPresentation, so it works on
-scrambled bases: idempotents are found algebraically (splitting the
-idempotent subalgebra of the ring mod 2, then Hensel-lifting 2-adically and
-verifying exactly over Z), never by matching against a known basis.
+scrambled bases: idempotents are found algebraically (refining the unit
+mod 2 against each basis vector of (0,0), then Hensel-lifting 2-adically and
+verifying exactly over Z), never by matching against a known basis.  The
+exact verification alone proves the component is Z^n: n nonzero orthogonal
+idempotents summing to the unit of a free rank-n ring split it into n
+rank-one corners, each a copy of Z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, product
 from operator import mul
@@ -42,17 +44,6 @@ class NonUniqueGrade(InputError):
     """Two grades carry e . MH^1_l . f != 0: corrupt presentation."""
 
 
-@dataclass(frozen=True)
-class Idempotent:
-    coords: tuple
-
-
-@dataclass(frozen=True)
-class RecoveredSpace:
-    points: tuple  # Idempotent per point, aligned with the metric indices
-    space: QuasiMetricSpace
-
-
 def _mult0(pres: RingPresentation, a, b, modulus=None):
     _, out = pres.mult(_B00, list(a), _B00, list(b))
     if modulus is not None:
@@ -60,37 +51,10 @@ def _mult0(pres: RingPresentation, a, b, modulus=None):
     return out
 
 
-def _nullspace_mod2(matrix, n):
-    """Basis of the nullspace of an n x n 0/1 matrix over F_2."""
-    rows = [list(r) for r in matrix]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        vec = [0] * n
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = rows[pr][c] % 2
-        basis.append(vec)
-    return basis
-
-
 def primitive_idempotents(pres: RingPresentation) -> list:
-    """Exactly the n primitive idempotents of the (0,0) ring, as coordinate
-    vectors, verified exactly (integral, idempotent, orthogonal, summing to
-    the unit); NotSplit when the component is not Z^n."""
+    """Exactly the n primitive idempotents of the (0,0) ring, as sorted
+    coordinate tuples, verified exactly (integral, idempotent, orthogonal,
+    summing to the unit); NotSplit when the component is not Z^n."""
     if not pres.bidegrees:
         return []  # the empty space
     if _B00 not in pres.ranks:
@@ -102,17 +66,15 @@ def primitive_idempotents(pres: RingPresentation) -> list:
         return []
     unit = list(pres.unit)
 
-    # Frobenius is linear mod 2; its fixed subspace is spanned by the
-    # idempotents, and refining the unit against that span isolates atoms.
-    frob = [[0] * n for _ in range(n)]
-    for i in range(n):
-        gi = [1 if t == i else 0 for t in range(n)]
-        sq = _mult0(pres, gi, gi, 2)
-        for r in range(n):
-            frob[r][i] = (sq[r] - (1 if r == i else 0)) % 2
-    span = _nullspace_mod2(frob, n)
+    # Z^n mod 2 is Boolean and spanned by the basis, so refining the unit
+    # against each basis vector splits it into the n atoms, never more on the
+    # way (a corrupt ring could double them at every step); any other ring
+    # fails one of the exact checks below.
     atoms = [[v % 2 for v in unit]]
-    for b in span:
+    for i in range(n):
+        if len(atoms) > n:
+            break
+        b = [int(t == i) for t in range(n)]
         refined = []
         for e in atoms:
             eb = _mult0(pres, e, b, 2)
@@ -152,7 +114,7 @@ def primitive_idempotents(pres: RingPresentation) -> list:
     total = [sum(e[t] for e in idempotents) for t in range(n)]
     if total != unit:
         raise NotSplit("idempotents do not sum to the unit")
-    return [Idempotent(tuple(e)) for e in sorted(idempotents)]
+    return [tuple(e) for e in sorted(idempotents)]
 
 
 def _actions(pairs, e, side: int, orders: list) -> list:
@@ -182,8 +144,8 @@ def adjacency_weights(pres: RingPresentation, points: list) -> list:
         right_pairs = pres.table.get((bideg, _B00), {})
         lefts, columns = [], []
         for e in points:
-            lefts.append([x for x in _actions(left_pairs, e.coords, 0, orders) if any(x)])
-            columns.append(list(zip(*_actions(right_pairs, e.coords, 1, orders))))
+            lefts.append([x for x in _actions(left_pairs, e, 0, orders) if any(x)])
+            columns.append(list(zip(*_actions(right_pairs, e, 1, orders))))
         for (a, left), (b, cols) in product(enumerate(lefts), enumerate(columns)):
             sums = (sum(map(mul, x, col)) for x in left for col in cols)  # x . g_t . e_b
             if any(v % m if m else v for v, m in zip(sums, cycle(orders))):
@@ -194,7 +156,7 @@ def adjacency_weights(pres: RingPresentation, points: list) -> list:
     return weights
 
 
-def recover_space(pres: RingPresentation) -> RecoveredSpace:
+def recover_space(pres: RingPresentation) -> QuasiMetricSpace:
     """Idempotents, adjacency weights, then all-pairs shortest paths."""
     points = primitive_idempotents(pres)
     n = len(points)
@@ -207,12 +169,11 @@ def recover_space(pres: RingPresentation) -> RecoveredSpace:
                 via = dist[i][k] + dist[k][j]
                 if via < dist[i][j]:
                     dist[i][j] = via
-    return RecoveredSpace(tuple(points), QuasiMetricSpace(dist))
+    return QuasiMetricSpace(dist)
 
 
 def recovery_roundtrip(space: QuasiMetricSpace, scramble_seed=None) -> bool:
     """Export (scrambled) degrees k <= 1 up to the largest finite distance,
     serialize, recover, compare up to isometry."""
     pres = export_presentation(space, 1, space.max_finite_distance(), scramble_seed=scramble_seed)
-    recovered = recover_space(RingPresentation.from_json(pres.to_json()))
-    return is_isometric(space, recovered.space)
+    return is_isometric(space, recover_space(RingPresentation.from_json(pres.to_json())))

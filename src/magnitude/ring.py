@@ -281,10 +281,10 @@ class RingPresentation:
     def from_json(text: str) -> "RingPresentation":
         """Parse and validate a document in one pass over it; anything that is
         not a well-formed export raises InvalidPresentation.  Products name
-        bidegrees by the same (k, l) values the bidegree entries declare; the
-        lookups, dimensions and target of each distinct product key are
-        checked once, and a product that repeats an earlier (i, j) of the
-        same pair of bidegrees is refused."""
+        bidegrees by the same (k, l) values the bidegree entries declare, with
+        every k an int; the lookups, dimensions and target of each distinct
+        product key are checked once, and a product that repeats an earlier
+        (i, j) of the same pair of bidegrees is refused."""
         try:
             doc = json.loads(text)
         except ValueError as exc:
@@ -320,6 +320,8 @@ class RingPresentation:
             where = f"product {n}"
             try:
                 (ka, la, i), (kb, lb, j), (kt, lt), coords = product
+                if not type(ka) is type(kb) is type(kt) is int:  # 1.0 and True hash as 1
+                    raise TypeError
                 key = (ka, la, kb, lb, kt, lt)
                 block = keys.get(key)
                 if block is None:

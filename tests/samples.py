@@ -77,6 +77,32 @@ def random_poset(rng, nmax=7) -> FinitePoset:
     return FinitePoset.from_cover_relations(n, covers)
 
 
+def hemicube_covers():
+    """(n, covers) of the face poset of the hemi-cube, a regular CW structure
+    on RP^2: the proper faces of the cube [-1, 1]^3 modulo x -> -x (4
+    vertices, 6 edges, 3 squares, listed by dimension as 1..13) with a
+    bottom 0 and a top 14 added, so 15 points and 31 covers.  A face is its
+    sign vector, 0 marking a free coordinate; freeing one fixed coordinate
+    of a face gives the faces that cover it."""
+    from itertools import product
+
+    def cell(v):
+        return max(v, tuple(-x for x in v))
+
+    faces = [v for v in product((-1, 0, 1), repeat=3) if v.count(0) < 3]
+    cells = sorted({cell(v) for v in faces}, key=lambda v: (v.count(0), v))
+    index = {v: i + 1 for i, v in enumerate(cells)}
+    top = len(cells) + 1
+    covers = {(0, index[v]) for v in cells if v.count(0) == 0}
+    covers |= {(index[v], top) for v in cells if v.count(0) == 2}
+    for v in faces:
+        for t in range(3):
+            w = v[:t] + (0,) + v[t + 1 :]
+            if v[t] and w.count(0) < 3:
+                covers.add((index[cell(v)], index[cell(w)]))
+    return top + 1, sorted(covers)
+
+
 def all_trees(n: int):
     """All trees on n vertices up to isomorphism, via Pruefer sequences."""
     import bisect

@@ -224,6 +224,26 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+def test_product_degrees_must_be_ints(capsys, tmp_path):
+    """A product naming k as 1.0 or true is refused, although both hash as 1
+    and would otherwise resolve to the declared degree-one bidegree."""
+    code, export, _ = run(
+        capsys, "ring", "--graph", "p3", "--kmax", "1", "--lmax", "2", "--seed", "1"
+    )
+    assert code == 0
+    for k in (1.0, True):
+        doc = json.loads(export)
+        for product in doc["products"]:
+            for part in product[:3]:
+                if part[0] == 1:
+                    part[0] = k
+        f = tmp_path / f"k_{k}.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "recover", "--ring", str(f))
+        assert code == 2 and out == "", k
+        assert err.startswith("error:") and err.count("\n") == 1, k
+
+
 def test_engine_value_error_is_not_an_input_error(capsys, monkeypatch):
     """Only InputError and OSError exit 2; a ValueError raised inside the
     engine is a fault and propagates."""

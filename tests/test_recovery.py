@@ -6,7 +6,6 @@ import pytest
 from magnitude.homology import MagnitudeHomology
 from magnitude.rationals import INF, ExtendedRational
 from magnitude.recovery import (
-    Idempotent,
     NonUniqueGrade,
     NotSplit,
     adjacency_weights,
@@ -39,13 +38,13 @@ def test_idempotents_of_discrete_space():
     discrete = space_from_graph(Graph.undirected(3, []))
     pres = export_presentation(discrete, 1, 1)
     idem = primitive_idempotents(pres)
-    assert sorted(e.coords for e in idem) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(idem) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_idempotents_of_single_class():
     one = QuasiMetricSpace([[0]])
     pres = export_presentation(one, 1, 1)
-    assert [e.coords for e in primitive_idempotents(pres)] == [(1,)]
+    assert primitive_idempotents(pres) == [(1,)]
 
 
 def test_idempotents_on_scrambled_basis():
@@ -55,14 +54,14 @@ def test_idempotents_on_scrambled_basis():
         idem = primitive_idempotents(pres)
         assert len(idem) == 5
         for e in idem:
-            _, sq = pres.mult(B00, list(e.coords), B00, list(e.coords))
-            assert sq == list(e.coords)
+            _, sq = pres.mult(B00, list(e), B00, list(e))
+            assert sq == list(e)
 
 
 def test_empty_presentation_recovers_empty_space():
     pres = RingPresentation([], {}, {}, (), {})
     recovered = recover_space(pres)
-    assert recovered.space.n == 0
+    assert recovered.n == 0
 
 
 def _torsion_presentation():
@@ -125,7 +124,7 @@ def test_idempotents_of_z2_in_funny_basis():
     }
     pres = RingPresentation([B00], {B00: 2}, {B00: ()}, (1, 0), table)
     idem = primitive_idempotents(pres)
-    assert sorted(e.coords for e in idem) == [(0, 1), (1, -1)]
+    assert sorted(idem) == [(0, 1), (1, -1)]
 
 
 def test_c5_distance_two_pairs_are_inf_at_weight_stage():
@@ -141,20 +140,52 @@ def test_c5_distance_two_pairs_are_inf_at_weight_stage():
     assert sum(1 for w in weights if w.is_infinite) == 10
     # a 1-simplex has two distinct endpoints, so no point pairs with itself
     assert all(matrix[a][a].is_infinite for a in range(5))
-    recovered = recover_space(pres).space
+    recovered = recover_space(pres)
     dists = sorted(
         recovered.d[i][j].value for i in range(5) for j in range(5) if i != j
     )
     assert dists == [1] * 10 + [2] * 10
 
 
+# rank-n rings on (0,0) that are not Z^n split by their unit: the products
+# of basis pairs, zero when absent, and the declared unit
+NON_SPLIT_RINGS = {
+    "g^2 = 2g": ({(0, 0): (2,)}, (1,)),  # the generator is not idempotent
+    "x^2 = x + 1": ({(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (1, 1)}, (1, 0)),
+    "x^2 = 0": ({(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1)}, (1, 0)),
+    "Z[C2]": ({(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (1, 0)}, (1, 0)),
+    "Z[i]": ({(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (-1, 0)}, (1, 0)),
+    # upper-triangular 2x2 integer matrices in the basis e11, e12, e22
+    "T2(Z)": ({(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (1, 2): (0, 1, 0), (2, 2): (0, 0, 1)}, (1, 0, 1)),
+    "Z x Z, unit (1, 0)": ({(0, 0): (1, 0), (1, 1): (0, 1)}, (1, 0)),
+}
+
+
 def test_not_split_on_corrupt_input():
-    # a rank-1 "ring" whose generator is not idempotent: g*g = 2g
-    pres = RingPresentation(
-        [B00], {B00: 1}, {B00: ()}, (1,), {(B00, B00): {(0, 0): (2,)}}
-    )
-    with pytest.raises(NotSplit):
+    # the mod-2 refinement accepts any ring; the exact checks over Z must
+    # refuse each of these
+    for name, (pairs, unit) in NON_SPLIT_RINGS.items():
+        pres = RingPresentation([B00], {B00: len(unit)}, {B00: ()}, unit, {(B00, B00): pairs})
+        with pytest.raises(NotSplit):
+            primitive_idempotents(pres)
+            pytest.fail(name)
+
+
+def test_not_split_refinement_stays_within_n_atoms(monkeypatch):
+    # random 0/1 structure constants on Z^30: refined against the basis mod
+    # 2, the atoms could double at each of the 30 steps; past n of them the
+    # ring cannot be Z^n, so it is refused after at most n^2 products
+    rng = random.Random(5)
+    n = 30
+    pairs = {(i, j): tuple(rng.randrange(2) for _ in range(n)) for i in range(n) for j in range(n)}
+    unit = tuple(rng.randrange(2) for _ in range(n))
+    pres = RingPresentation([B00], {B00: n}, {B00: ()}, unit, {(B00, B00): pairs})
+    calls = []
+    mult = pres.mult
+    monkeypatch.setattr(pres, "mult", lambda *args: calls.append(args) or mult(*args))
+    with pytest.raises(NotSplit, match="atoms mod 2"):
         primitive_idempotents(pres)
+    assert len(calls) <= n * n
 
 
 def test_adjacency_weights_edge_and_path():
@@ -202,8 +233,8 @@ def _pairwise_grades(pres, e, f):
         bideg = (1, l)
         d = pres.dim(bideg)
         for j in range(d):
-            _, left = pres.mult(B00, list(e.coords), bideg, [int(t == j) for t in range(d)])
-            _, full = pres.mult(bideg, left, B00, list(f.coords))
+            _, left = pres.mult(B00, list(e), bideg, [int(t == j) for t in range(d)])
+            _, full = pres.mult(bideg, left, B00, list(f))
             if any(full):
                 found.append(l)
                 break
@@ -245,7 +276,7 @@ def test_weight_matrix_reduces_torsion():
     pres = RingPresentation([B00, l1], {B00: 2, l1: 1}, {B00: (), l1: (3,)}, (1, 1), table)
     _assert_matches_pairwise(pres)
     idem = primitive_idempotents(pres)
-    e0, e1 = (next(a for a, e in enumerate(idem) if e.coords == c) for c in ((1, 0), (0, 1)))
+    e0, e1 = (next(a for a, e in enumerate(idem) if e == c) for c in ((1, 0), (0, 1)))
     matrix = adjacency_weights(pres, idem)
     assert matrix[e0][e1] == matrix[e1][e0] == ExtendedRational(1)
     assert matrix[e0][e0].is_infinite and matrix[e1][e1].is_infinite
@@ -267,9 +298,9 @@ def test_recover_p3_two_hop_distance():
     p3 = space_from_graph(builtin_graph("p3"))
     pres = export_presentation(p3, 1, 2)
     recovered = recover_space(pres)
-    assert is_isometric(p3, recovered.space)
+    assert is_isometric(p3, recovered)
     dists = sorted(
-        recovered.space.d[i][j].value
+        recovered.d[i][j].value
         for i in range(3)
         for j in range(3)
         if i != j
@@ -280,12 +311,12 @@ def test_recover_p3_two_hop_distance():
 def test_recover_disconnected():
     space = space_from_graph(Graph.undirected(4, [(0, 1), (2, 3)]))
     recovered = recover_space(export_presentation(space, 1, 1))
-    assert is_isometric(space, recovered.space)
+    assert is_isometric(space, recovered)
     inf_count = sum(
         1
         for i in range(4)
         for j in range(4)
-        if i != j and recovered.space.d[i][j].is_infinite
+        if i != j and recovered.d[i][j].is_infinite
     )
     assert inf_count == 8
 
@@ -300,7 +331,7 @@ def test_scramble_invariance():
     rec = []
     for seed in (5, 6):
         pres = export_presentation(c4, 1, 2, scramble_seed=seed)
-        rec.append(recover_space(pres).space)
+        rec.append(recover_space(pres))
     assert is_isometric(rec[0], rec[1])
     assert is_isometric(rec[0], c4)
 
@@ -317,7 +348,7 @@ def test_recovered_weights_match_after_matching_idempotents():
         coords = class_of(
             engine, Cochain(0, Fraction(0), tuple(1 if t == x else 0 for t in range(space.n)))
         ).coords
-        match[x] = next(i for i, e in enumerate(idem) if e.coords == coords)
+        match[x] = next(i for i, e in enumerate(idem) if e == coords)
     for pair in adjacent_pairs(space):
         got = matrix[match[pair.x]][match[pair.y]]
         assert got == pair.length

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from magnitude.homology import LatticeQuotient, MagnitudeHomology, MissingBlock
+from magnitude.homology import AbelianGroup, LatticeQuotient, MagnitudeHomology, MissingBlock
+from magnitude.posets import FinitePoset, OrderComplex
 from magnitude.ring import (
     BidegreeMismatch,
     Cochain,
@@ -24,6 +25,7 @@ from magnitude.ring import (
     unit_cochain,
 )
 from magnitude.spaces import (
+    Graph,
     QuasiMetricSpace,
     ZeroDistance,
     adjacent_pairs,
@@ -31,7 +33,7 @@ from magnitude.spaces import (
     space_from_graph,
 )
 
-from samples import BUILTIN_NAMES, random_rational_space
+from samples import BUILTIN_NAMES, hemicube_covers, random_rational_space
 from test_recovery import _torsion_presentation
 
 
@@ -278,6 +280,29 @@ def _repeat_product_9(doc):
     """Append a second product 9, every coordinate plus 1."""
     first, second, target, coords = doc["products"][9]
     doc["products"].append([first, second, target, [v + 1 for v in coords]])
+
+
+def test_hemicube_torsion_survives_the_scrambled_export():
+    # the hemi-cube's face poset with bottom and top (ranks 0 and 4): only
+    # that pair is at distance 4, so MH_{k,4} is the reduced homology of the
+    # order complex of the open interval, RP^2, in degree k - 2
+    # (Kaneta-Yoshinaga), and MH^4_4 = Ext(Z/2, Z) is pure torsion
+    n, covers = hemicube_covers()
+    assert (n, len(covers)) == (15, 31)
+    interval = OrderComplex(
+        FinitePoset.from_cover_relations(n - 2, [(a - 1, b - 1) for a, b in covers if a and b < n - 1])
+    )
+    assert interval.homology(1) == AbelianGroup(0, (2,))
+    space = space_from_graph(Graph.directed_graph(n, covers))
+    engine = MagnitudeHomology(space)
+    assert engine.homology(3, 4) == AbelianGroup(0, (2,))
+    assert all(engine.homology(k, 4).is_trivial for k in (1, 2, 4, 5))
+    pres = export_presentation(space, 4, 4, scramble_seed=1)
+    b00, b44 = (0, Fraction(0)), (4, Fraction(4))
+    assert (pres.ranks[b44], pres.torsions[b44]) == (0, (2,))
+    t = [1]
+    assert pres.mult(b00, list(pres.unit), b44, t) == (b44, t)
+    assert pres.mult(b44, t, b00, list(pres.unit)) == (b44, t)
 
 
 def test_to_json_renders_the_json_dumps_bytes():
