@@ -101,10 +101,14 @@ class LatticeQuotient:
         """Number of coordinates (free + torsion)."""
         return len(self.orders)
 
-    def reduce(self, vec: list) -> tuple:
-        """Class coordinates of a kernel vector (free part, then torsion)."""
+    def require_kernel(self, vec) -> None:
+        """ValueError unless the vector is in the kernel of the outgoing map."""
         if any(self._kernel_test.matvec(vec)):
             raise ValueError("vector is not in the kernel")
+
+    def reduce(self, vec: list) -> tuple:
+        """Class coordinates of a kernel vector (free part, then torsion)."""
+        self.require_kernel(vec)
         coords = self.coordinates.matvec(vec)
         return tuple(c % d if d else c for c, d in zip(coords, self.orders))
 
@@ -255,10 +259,16 @@ class MagnitudeHomology:
             raise MissingBlock(f"bidegree ({k}, {l}) outside truncation")
 
     def slice(self, l) -> MagnitudeSlice:
-        l = Fraction(l)
-        if l not in self._slices:
-            self._slices[l] = MagnitudeSlice(self.space, l)
-        return self._slices[l]
+        """The slice of grade l, keyed on (numerator, denominator): an int or
+        Fraction grade is looked up without building or hashing a Fraction,
+        any other grade is converted once."""
+        if type(l) is not int and type(l) is not Fraction:
+            l = Fraction(l)
+        key = (l.numerator, l.denominator)
+        found = self._slices.get(key)
+        if found is None:
+            found = self._slices[key] = MagnitudeSlice(self.space, l)
+        return found
 
     def simplices(self, k: int, l) -> list:
         return self.slice(l).basis(k)

@@ -8,7 +8,11 @@ once, from the left images e . g_j of its basis for every e and the rows
 g_t . f for every f, each read in one pass over the (0,0) x (1,l) or the
 (1,l) x (0,0) entries of the product table, not through
 RingPresentation.mult: e . MH^1_l . f != 0 exactly when some left image x has
-sum_t x_t (g_t . f) nonzero modulo the orders of MH^1_l.  The other distances
+sum_t x_t (g_t . f) nonzero modulo the orders of MH^1_l.  On a free
+coordinate that sum is bilinear over Q, so it is tested only on a rational
+basis of e's left images against a rational basis of f's free columns; on a
+torsion coordinate every left image is tested, since images dependent over
+Q need not be dependent modulo the order.  The other distances
 are the shortest-path closure over chains of adjacent pairs (they exist
 because any non-adjacent finite pair can be refined through a strict
 intermediate point, and the positive minimum bounds the refinement depth).
@@ -25,7 +29,8 @@ rank-one corners, each a copy of Z.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import cycle, product
+from itertools import product
+from math import gcd
 from operator import mul
 
 from .rationals import INF, ExtendedRational, format_grade
@@ -133,6 +138,24 @@ def _actions(pairs, e, side: int, orders: list) -> list:
     return [[v % m if m else v for v, m in zip(row, orders)] for row in rows]
 
 
+def _independent(vectors) -> list:
+    """The vectors that are not in the rational span of the ones before them:
+    a basis over Q of their span, found by fraction-free elimination."""
+    echelon, picked = [], []  # echelon rows are (pivot, row), row[pivot] != 0
+    for v in vectors:
+        r = v
+        for p, row in echelon:
+            if r[p]:
+                a, c = row[p], r[p]
+                r = [a * x - c * y for x, y in zip(r, row)]
+        pivot = next((t for t, x in enumerate(r) if x), None)
+        if pivot is not None:
+            g = gcd(*r)
+            echelon.append((pivot, [x // g for x in r]))
+            picked.append(v)
+    return picked
+
+
 def adjacency_weights(pres: RingPresentation, points: list) -> list:
     """Weights of all ordered pairs of points, diagonal included: [a][b] is
     the unique grade l with e_a . MH^1_l . e_b != 0, INF if none."""
@@ -142,13 +165,21 @@ def adjacency_weights(pres: RingPresentation, points: list) -> list:
         orders = pres.orders(bideg)
         left_pairs = pres.table.get((_B00, bideg), {})
         right_pairs = pres.table.get((bideg, _B00), {})
-        lefts, columns = [], []
+        lefts, rights = [], []
         for e in points:
-            lefts.append([x for x in _actions(left_pairs, e, 0, orders) if any(x)])
-            columns.append(list(zip(*_actions(right_pairs, e, 1, orders))))
-        for (a, left), (b, cols) in product(enumerate(lefts), enumerate(columns)):
-            sums = (sum(map(mul, x, col)) for x in left for col in cols)  # x . g_t . e_b
-            if any(v % m if m else v for v, m in zip(sums, cycle(orders))):
+            left = [x for x in _actions(left_pairs, e, 0, orders) if any(x)]
+            cols = list(zip(*_actions(right_pairs, e, 1, orders)))
+            free = [col for col, m in zip(cols, orders) if not m]
+            lefts.append((left, _independent(left)))
+            rights.append((_independent(free), [(col, m) for col, m in zip(cols, orders) if m]))
+        for (a, (left, left_basis)), (b, (free, torsion)) in product(
+            enumerate(lefts), enumerate(rights)
+        ):
+            # x . g_t . e_b: over Q on the free coordinates, so bases suffice
+            # there; every left image on the torsion ones
+            if any(sum(map(mul, x, col)) for x in left_basis for col in free) or any(
+                sum(map(mul, x, col)) % m for x in left for col, m in torsion
+            ):
                 if not weights[a][b].is_infinite:
                     grades = f"{format_grade(weights[a][b].value)} and {format_grade(l)}"
                     raise NonUniqueGrade(f"points {a} and {b} pair nontrivially in grades {grades}")

@@ -400,9 +400,11 @@ def export_presentation(
     With a scramble seed, each bidegree's free generators undergo an
     independent random unimodular change of basis so the export carries no
     residue of the simplex bases.  Pseudo spaces are refused (ZeroDistance).
-    Each scrambled basis class is lifted once (representative) and every
-    product is read back through class_of, as in class_product, then moved
-    into the scrambled basis by one sparse product with T^-1.
+    Each scrambled basis class is lifted once (representative).  Each
+    bidegree is resolved once, to its quotient and one sparse map composing
+    the quotient's class coordinates with T^-1; the unit and every product
+    are read through that map, so a product is the cup, the kernel test, one
+    matvec and the torsion reduction.
     """
     lmax = Fraction(lmax)
     if space.n == 0:
@@ -417,7 +419,7 @@ def export_presentation(
     bidegrees = sorted(groups)
     rng = random.Random(scramble_seed) if scramble_seed is not None else None
 
-    basis, scramble = {}, {}
+    basis, targets = {}, {}
     for (k, l) in bidegrees:  # sorted order fixes which draws each scramble takes
         r, nt = groups[k, l].rank, len(groups[k, l].torsion)
         if rng is None:
@@ -428,22 +430,29 @@ def export_presentation(
         gens = [[t[s][i] for s in range(r)] + [0] * nt for i in range(r)]
         gens += [[0] * r + [1 if s == i else 0 for s in range(nt)] for i in range(nt)]
         basis[k, l] = [representative(engine, RingClass(k, l, tuple(g))) for g in gens]
-        # T^-1 on the free coordinates, the identity on the torsion ones
-        scramble[k, l] = SparseMatrix.from_dense([row + [0] * nt for row in tinv] + gens[r:])
+        # class coordinates in the scrambled basis: the quotient's coordinate
+        # map followed by T^-1 on the free coordinates, the identity on the
+        # torsion ones
+        scramble = SparseMatrix.from_dense([row + [0] * nt for row in tinv] + gens[r:])
+        quotient = engine.cohomology_quotient(k, l)
+        targets[k, l] = (quotient, scramble.matmul(quotient.coordinates), quotient.orders)
 
-    unit = scramble[0, Fraction(0)].matvec(unit_class(engine).coords)
+    unit = targets[0, Fraction(0)][1].matvec(unit_cochain(engine).coords)
     table = {}
     for ba in bidegrees:
         for bb in bidegrees:
-            target = (ba[0] + bb[0], ba[1] + bb[1])
-            if target not in scramble:
+            target = targets.get((ba[0] + bb[0], ba[1] + bb[1]))
+            if target is None:
                 continue  # trivial or truncated target: all products are zero
-            to_coords = scramble[target]
+            quotient, to_coords, orders = target
             pairs = {}
             for i, phi in enumerate(basis[ba]):
                 for j, psi in enumerate(basis[bb]):
-                    cochain = cup_cochain(engine, phi, psi)
-                    coords = tuple(to_coords.matvec(class_of(engine, cochain).coords))
+                    cochain = cup_cochain(engine, phi, psi).coords
+                    quotient.require_kernel(cochain)
+                    coords = tuple(
+                        c % d if d else c for c, d in zip(to_coords.matvec(cochain), orders)
+                    )
                     if any(coords):
                         pairs[(i, j)] = coords
             if pairs:

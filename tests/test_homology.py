@@ -1,5 +1,6 @@
 import importlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,14 @@ from magnitude.homology import (
     AbelianGroup,
     LatticeQuotient,
     MagnitudeHomology,
+    MissingBlock,
     cohomology,
     homology,
     uct_check,
 )
 from magnitude.ring import random_unimodular
 from magnitude.snf import SmithDecomposition, SparseMatrix
-from magnitude.spaces import builtin_graph, space_from_graph
+from magnitude.spaces import QuasiMetricSpace, builtin_graph, space_from_graph
 
 from samples import random_rational_space, random_strongly_connected_digraph
 
@@ -183,3 +185,25 @@ def test_diagonal_graphs_are_torsion_free():
             for k in range(engine.degree_bound(l) + 1):
                 assert engine.homology(k, l).torsion == ()
                 assert engine.cohomology(k, l).torsion == ()
+
+
+def test_slice_lookup_by_any_accepted_grade():
+    engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")), kmax=2, lmax=2)
+    two = engine.slice(2)
+    for l in (Fraction(2), Fraction(4, 2), "2", "4/2", 2.0, Decimal("2.0")):
+        assert engine.slice(l) is two, l
+    assert type(two.l) is Fraction and two.l == 2
+    assert engine.slice(True) is engine.slice(1) is not two
+    # a rational grade, named by an int-free Fraction, a string or a float
+    space = QuasiMetricSpace([[0, Fraction(3, 2)], [Fraction(3, 2), 0]])
+    engine = MagnitudeHomology(space, kmax=1, lmax=Fraction(3, 2))
+    half = engine.slice(Fraction(3, 2))
+    assert engine.slice("3/2") is engine.slice(1.5) is engine.slice(Fraction(6, 4)) is half
+    assert half.l == Fraction(3, 2) and engine.simplices(1, "3/2") == [(0, 1), (1, 0)]
+    assert engine.homology(1, 1.5) == AbelianGroup(2)
+    # the truncation is checked as before; a slice lookup never checks it
+    engine.check_bidegree(1, Fraction(3, 2))
+    for k, l in ((2, 1), (1, 2), (1, "7/4")):
+        with pytest.raises(MissingBlock):
+            engine.check_bidegree(k, l)
+    assert engine.slice(3).l == 3

@@ -64,15 +64,30 @@ def test_empty_presentation_recovers_empty_space():
     assert recovered.n == 0
 
 
+# left images (2, 0, 0), (0, 2, 0), (1, 1, 0) of MH^1_1 = Z^2 + Z/2: the
+# third is in the rational span of the first two but not in their integer span
+DEPENDENT_LEFT = {(0, 0): (2, 0, 0), (0, 1): (0, 2, 0), (0, 2): (1, 1, 0)}
+
+
 def _torsion_presentation():
     # synthetic bidegree with a torsion generator of order 3: products wrap
     bideg = (2, Fraction(2))
+    # and one point pairing with itself in grade 1 only through its third
+    # left image: g_0 . e = g_2 of order 2 reads column (1, 0, 0), and only
+    # (1, 1, 0) . (1, 0, 0) = 1 is odd
+    l1 = (1, Fraction(1))
     table = {
         (B00, B00): {(0, 0): (1,)},
+        (B00, l1): DEPENDENT_LEFT,
+        (l1, B00): {(0, 0): (0, 0, 1)},
         (B00, bideg): {(0, 0): (5,)},  # unit * t = 5t = 2t mod 3
     }
     return RingPresentation(
-        [B00, bideg], {B00: 1, bideg: 0}, {B00: (), bideg: (3,)}, (1,), table
+        [B00, l1, bideg],
+        {B00: 1, l1: 2, bideg: 0},
+        {B00: (), l1: (2,), bideg: (3,)},
+        (1,),
+        table,
     )
 
 
@@ -256,6 +271,8 @@ def test_weight_matrix_matches_pairwise_reference():
     spaces = [space_from_graph(random_connected_graph(rng, nmax=6)) for _ in range(4)]
     spaces += [space_from_graph(random_strongly_connected_digraph(rng, nmax=5)) for _ in range(3)]
     spaces += [random_rational_space(rng, nmax=4) for _ in range(3)]
+    # MH^1_1 of rank 30 and 60, read through scrambles that mix every basis
+    spaces += [space_from_graph(builtin_graph(name)) for name in ("petersen", "icosahedron")]
     for seed, space in enumerate(spaces):
         _assert_matches_pairwise(
             export_presentation(space, 1, space.max_finite_distance(), scramble_seed=seed)
@@ -280,6 +297,40 @@ def test_weight_matrix_reduces_torsion():
     matrix = adjacency_weights(pres, idem)
     assert matrix[e0][e1] == matrix[e1][e0] == ExtendedRational(1)
     assert matrix[e0][e0].is_infinite and matrix[e1][e1].is_infinite
+
+
+@pytest.mark.parametrize(
+    "right, adjacent",
+    [
+        ({(0, 1): (0, 0, 1)}, True),  # g_0 . e_1 = g_2: odd only against (1, 1, 0)
+        ({(0, 1): (0, 0, 2)}, False),  # 2 g_2 = 0
+        ({(0, 1): (1, 0, 0), (1, 1): (-1, 0, 0)}, True),  # a free column (1, -1, 0)
+        ({(0, 1): (1, 0, 0), (1, 1): (1, 0, 0)}, True),  # every image hits the column (1, 1, 0)
+    ],
+)
+def test_pair_test_on_rationally_dependent_left_images(right, adjacent):
+    # two points; e_0's left images on MH^1_1 = Z^2 + Z/2 are dependent over
+    # Q but not over Z, so the free coordinates may be tested on a rational
+    # basis of them and the torsion coordinate on every one
+    l1 = (1, Fraction(1))
+    table = {
+        (B00, B00): {(0, 0): (1, 0), (1, 1): (0, 1)},
+        (B00, l1): DEPENDENT_LEFT,
+        (l1, B00): right,
+    }
+    pres = RingPresentation([B00, l1], {B00: 2, l1: 2}, {B00: (), l1: (2,)}, (1, 1), table)
+    _assert_matches_pairwise(pres)
+    matrix = adjacency_weights(pres, [(1, 0), (0, 1)])
+    assert matrix[0][1] == (ExtendedRational(1) if adjacent else INF)
+    assert [matrix[0][0], matrix[1][0], matrix[1][1]] == [INF] * 3
+
+
+def test_pair_test_keeps_the_only_torsion_witness():
+    # the point pairs with itself through (1, 1, 0) alone: a rational basis
+    # of its left images, (2, 0, 0) and (0, 2, 0), is even on the column
+    pres = _torsion_presentation()
+    _assert_matches_pairwise(pres)
+    assert adjacency_weights(pres, [(1,)]) == [[ExtendedRational(1)]]
 
 
 def test_weight_matrix_mult_calls(monkeypatch):
@@ -364,6 +415,10 @@ def test_roundtrip_sample():
         assert recovery_roundtrip(space_from_graph(digraph), scramble_seed=i)
     for i in range(3):
         assert recovery_roundtrip(random_rational_space(rng, nmax=4), scramble_seed=i)
+
+
+def test_roundtrip_icosahedron_scrambled():
+    assert recovery_roundtrip(space_from_graph(builtin_graph("icosahedron")), scramble_seed=3)
 
 
 def test_roundtrip_refuses_pseudo():

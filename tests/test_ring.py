@@ -1,6 +1,8 @@
+import importlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,6 +12,7 @@ from magnitude.ring import (
     BidegreeMismatch,
     Cochain,
     InvalidPresentation,
+    RingClass,
     RingPresentation,
     class_of,
     class_product,
@@ -20,6 +23,7 @@ from magnitude.ring import (
     indicator_cochain,
     is_cocycle,
     kronecker,
+    random_unimodular,
     representative,
     unit_class,
     unit_cochain,
@@ -282,6 +286,14 @@ def _repeat_product_9(doc):
     doc["products"].append([first, second, target, [v + 1 for v in coords]])
 
 
+@lru_cache(maxsize=None)
+def _hemicube_export():
+    """The hemi-cube space and its scrambled export at k <= 4, l <= 4."""
+    n, covers = hemicube_covers()
+    space = space_from_graph(Graph.directed_graph(n, covers))
+    return space, export_presentation(space, 4, 4, scramble_seed=1)
+
+
 def test_hemicube_torsion_survives_the_scrambled_export():
     # the hemi-cube's face poset with bottom and top (ranks 0 and 4): only
     # that pair is at distance 4, so MH_{k,4} is the reduced homology of the
@@ -297,12 +309,70 @@ def test_hemicube_torsion_survives_the_scrambled_export():
     engine = MagnitudeHomology(space)
     assert engine.homology(3, 4) == AbelianGroup(0, (2,))
     assert all(engine.homology(k, 4).is_trivial for k in (1, 2, 4, 5))
-    pres = export_presentation(space, 4, 4, scramble_seed=1)
+    pres = _hemicube_export()[1]
     b00, b44 = (0, Fraction(0)), (4, Fraction(4))
     assert (pres.ranks[b44], pres.torsions[b44]) == (0, (2,))
     t = [1]
     assert pres.mult(b00, list(pres.unit), b44, t) == (b44, t)
     assert pres.mult(b44, t, b00, list(pres.unit)) == (b44, t)
+
+
+def _scrambled_products(space, pres, kmax, lmax, seed):
+    """Every product of the export recomputed as class_product of two
+    scrambled generators, moved into the target's scrambled basis by T^-1:
+    the scrambles are drawn again, in sorted bidegree order."""
+    rng = random.Random(seed)
+    gens, tinvs = {}, {}
+    for b in pres.bidegrees:
+        r, nt = pres.ranks[b], len(pres.torsions[b])
+        t, tinvs[b] = random_unimodular(r, rng)
+        gens[b] = [tuple(t[s][i] for s in range(r)) + (0,) * nt for i in range(r)]
+        gens[b] += [(0,) * r + tuple(int(s == i) for s in range(nt)) for i in range(nt)]
+    engine = MagnitudeHomology(space, kmax=kmax, lmax=lmax)
+    table = {}
+    for ba in pres.bidegrees:
+        for bb in pres.bidegrees:
+            bt = (ba[0] + bb[0], ba[1] + bb[1])
+            if bt not in pres.ranks:
+                continue
+            r, tinv = pres.ranks[bt], tinvs[bt]
+            for i, ga in enumerate(gens[ba]):
+                for j, gb in enumerate(gens[bb]):
+                    c = class_product(engine, RingClass(*ba, ga), RingClass(*bb, gb)).coords
+                    free = [sum(tinv[s][u] * c[u] for u in range(r)) for s in range(r)]
+                    if any(c):
+                        table.setdefault((ba, bb), {})[i, j] = tuple(free) + c[r:]
+    return table
+
+
+def test_export_products_are_scrambled_class_products():
+    c5 = space_from_graph(builtin_graph("c5"))
+    hemicube, torsion_pres = _hemicube_export()
+    b44 = (4, Fraction(4))
+    assert torsion_pres.torsions[b44] == (2,) and any(bb == b44 for _, bb in torsion_pres.table)
+    cases = [(c5, export_presentation(c5, 2, 3, scramble_seed=4), 2, 3, 4)]
+    cases.append((hemicube, torsion_pres, 4, 4, 1))
+    for space, pres, kmax, lmax, seed in cases:
+        assert pres.table == _scrambled_products(space, pres, kmax, lmax, seed)
+
+
+def test_export_refuses_a_product_outside_the_kernel(monkeypatch):
+    # the indicator of (0, 2, 3) is not a cocycle of c5: (0, 1, 2, 3) has it
+    # as a face; add it to every product landing in (2, 3)
+    ring = importlib.import_module("magnitude.ring")
+    cup = ring.cup_cochain
+    engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")))
+    assert not is_cocycle(engine, indicator_cochain(engine, (0, 2, 3), 3))
+
+    def corrupt(engine, phi, psi):
+        out = cup(engine, phi, psi)
+        if (out.k, out.l) == (2, 3):
+            out = out + indicator_cochain(engine, (0, 2, 3), 3)
+        return out
+
+    monkeypatch.setattr(ring, "cup_cochain", corrupt)
+    with pytest.raises(ValueError, match="not in the kernel"):
+        export_presentation(engine.space, 2, 3, scramble_seed=4)
 
 
 def test_to_json_renders_the_json_dumps_bytes():
