@@ -69,21 +69,6 @@ def enumerate_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> list:
     return out
 
 
-def boundary_entries(space: QuasiMetricSpace, simplex: tuple):
-    """Yield (face, sign) for the magnitude differential of one simplex.
-
-    The sum runs over interior indices i = 1..k-1 only, with sign (-1)^i;
-    a face whose dropped point merges two equal neighbours is degenerate and
-    contributes nothing (possible only on pseudo spaces).
-    """
-    units = space.units
-    k = len(simplex) - 1
-    for i in range(1, k):
-        a, b, c = simplex[i - 1], simplex[i], simplex[i + 1]
-        if a != c and units[a][c] == units[a][b] + units[b][c]:
-            yield simplex[:i] + simplex[i + 1 :], (-1) ** i
-
-
 def boundary_matrix(
     space: QuasiMetricSpace,
     k: int,
@@ -91,13 +76,24 @@ def boundary_matrix(
     domain: list,
     codomain_index: dict,
 ) -> SparseMatrix:
-    """Matrix of the differential MC_{k,l} -> MC_{k-1,l} in the given bases."""
-    entries = {}
+    """Matrix of the differential MC_{k,l} -> MC_{k-1,l} in the given bases.
+
+    Column j is the boundary of the simplex domain[j]: the sum over interior
+    indices i = 1..k-1 only of (-1)^i times the face dropping x_i, kept when
+    d(x_{i-1},x_{i+1}) = d(x_{i-1},x_i) + d(x_i,x_{i+1}); a face whose dropped
+    point merges two equal neighbours is degenerate and contributes nothing
+    (possible only on pseudo spaces).  The faces of one simplex are distinct
+    tuples, so every entry is a single sign.
+    """
+    units = space.units
+    rows = {}
     for col, simplex in enumerate(domain):
-        for face, sign in boundary_entries(space, simplex):
-            row = codomain_index[face]
-            entries[(row, col)] = entries.get((row, col), 0) + sign
-    return SparseMatrix.from_entries(len(codomain_index), len(domain), entries)
+        for i in range(1, k):
+            a, b, c = simplex[i - 1], simplex[i], simplex[i + 1]
+            if a != c and units[a][c] == units[a][b] + units[b][c]:
+                face = simplex[:i] + simplex[i + 1 :]
+                rows.setdefault(codomain_index[face], {})[col] = -1 if i & 1 else 1
+    return SparseMatrix(len(codomain_index), len(domain), rows)
 
 
 def induced_chain_map(

@@ -126,9 +126,6 @@ class LatticeQuotient:
                     vec[q] += c * v
         return vec
 
-    def is_zero_class(self, vec: list) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
-
 
 def _row_block(matrix: SparseMatrix, rows) -> SparseMatrix:
     """The listed rows of a matrix, renumbered from 0."""

@@ -122,20 +122,20 @@ def primitive_idempotents(pres: RingPresentation) -> list:
     return [tuple(e) for e in sorted(idempotents)]
 
 
-def _actions(pairs, e, side: int, orders: list) -> list:
-    """The images of the basis g_j of a degree-one grade under the idempotent
-    e, read in one pass over a pair's table and reduced modulo the grade's
-    orders, as mult reduces them: row j is e . g_j from the (0,0) x (1,l)
-    entries (side 0: e indexes the first factor) or g_j . e from the
-    (1,l) x (0,0) entries (side 1)."""
-    rows = [[0] * len(orders) for _ in orders]
+def _actions(pairs, points, side: int, orders: list) -> list:
+    """Every idempotent's images of the basis g_j of a degree-one grade, read
+    in one pass over a pair's table and reduced modulo the grade's orders as
+    mult reduces them: [a][j] is e_a . g_j from the (0,0) x (1,l) entries
+    (side 0) or g_j . e_a from the (1,l) x (0,0) entries (side 1)."""
+    users = [[(a, e[i]) for a, e in enumerate(points) if e[i]] for i in range(len(points))]
+    images = [[[0] * len(orders) for _ in orders] for _ in points]
     for key, coords in pairs.items():
-        c = e[key[side]]
-        if c:
-            row = rows[key[1 - side]]
-            for t, v in enumerate(coords):
+        support = [(t, v) for t, v in enumerate(coords) if v]  # read once for every idempotent
+        for a, c in users[key[side]]:
+            row = images[a][key[1 - side]]
+            for t, v in support:
                 row[t] += c * v
-    return [[v % m if m else v for v, m in zip(row, orders)] for row in rows]
+    return [[[v % m if m else v for v, m in zip(row, orders)] for row in rows] for rows in images]
 
 
 def _independent(vectors) -> list:
@@ -163,12 +163,12 @@ def adjacency_weights(pres: RingPresentation, points: list) -> list:
     for l in pres.grades_in_degree(1):
         bideg = (1, l)
         orders = pres.orders(bideg)
-        left_pairs = pres.table.get((_B00, bideg), {})
-        right_pairs = pres.table.get((bideg, _B00), {})
         lefts, rights = [], []
-        for e in points:
-            left = [x for x in _actions(left_pairs, e, 0, orders) if any(x)]
-            cols = list(zip(*_actions(right_pairs, e, 1, orders)))
+        left_images = _actions(pres.table.get((_B00, bideg), {}), points, 0, orders)
+        right_images = _actions(pres.table.get((bideg, _B00), {}), points, 1, orders)
+        for images, right in zip(left_images, right_images):
+            left = [x for x in images if any(x)]
+            cols = list(zip(*right))
             free = [col for col, m in zip(cols, orders) if not m]
             lefts.append((left, _independent(left)))
             rights.append((_independent(free), [(col, m) for col, m in zip(cols, orders) if m]))

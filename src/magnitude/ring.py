@@ -123,10 +123,6 @@ def representative(engine: MagnitudeHomology, alpha: RingClass) -> Cochain:
     return Cochain(alpha.k, alpha.l, tuple(quotient.vector_of(alpha.coords)))
 
 
-def unit_class(engine: MagnitudeHomology) -> RingClass:
-    return class_of(engine, unit_cochain(engine))
-
-
 def class_product(engine: MagnitudeHomology, alpha: RingClass, beta: RingClass) -> RingClass:
     """Lift to cocycles, cup, reduce; the result is closed by the Leibniz rule."""
     engine.check_bidegree(alpha.k + beta.k, alpha.l + beta.l)

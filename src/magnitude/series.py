@@ -3,16 +3,19 @@
 The alternating sum sum_k (-1)^k rank MH^k_l(X) per grade l categorifies the
 magnitude; the independent oracle inverts the similarity matrix
 Z_ab = q^{d(a,b)} grade-by-grade (Z = I + N with N strictly positive, so the
-Neumann series sum (-1)^j N^j converges in each truncated grade).  Both
-series live over exact rational grades, so the comparison is exact equality,
-no tolerance.  Pseudo spaces are refused: a zero distance would put a
-grade-0 term into N and break convergence.
+Neumann series sum (-1)^j N^j converges in each truncated grade).  The
+oracle runs on its own integer grade scale, derived from the public distance
+matrix d alone: it shares no code or state with the engine's integer form.
+Both series come out over exact rational grades, so the comparison is exact
+equality, no tolerance.  Pseudo spaces are refused: a zero distance would
+put a grade-0 term into N and break convergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, lcm
 
 from .complexes import realizable_grades
 from .homology import MagnitudeHomology
@@ -72,20 +75,26 @@ def euler_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
 def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     """Sum of the entries of Z^{-1} for Z_ab = q^{d(a,b)} (0 when d = INF),
     truncated at lmax via the Neumann series around Z = I + N: the sum over
-    m of (-1)^m 1^T N^m 1, propagating the row vector 1^T N^m."""
+    m of (-1)^m 1^T N^m 1, propagating the row vector 1^T N^m.
+
+    Grades are integers in units of 1/scale, scale being the lcm of the
+    finite denominators of the public matrix d, and the truncation is the
+    floor of lmax * scale; the oracle reads nothing else of the space."""
     lmax = Fraction(lmax)
     space.require_positive()
     n = space.n
-    # the finite entries of N within the truncation, row by row
-    steps = [
-        [
-            (j, x.value)
-            for j, x in enumerate(space.d[i])
-            if j != i and not x.is_infinite and x.value <= lmax
-        ]
+    finite = [
+        [(j, x.value) for j, x in enumerate(space.d[i]) if j != i and not x.is_infinite]
         for i in range(n)
     ]
-    row = {j: {Fraction(0): 1} for j in range(n)}  # 1^T N^0
+    scale = lcm(*(v.denominator for row in finite for _, v in row))
+    top = floor(lmax * scale)
+    # the entries of N within the truncation, row by row, in units of 1/scale
+    steps = [
+        [(j, u) for j, v in row if (u := v.numerator * (scale // v.denominator)) <= top]
+        for row in finite
+    ]
+    row = {j: {0: 1} for j in range(n)}  # 1^T N^0
     total = {}
     sign = 1
     while row:
@@ -98,11 +107,11 @@ def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
             for j, d in steps[i]:
                 cell = nxt.setdefault(j, {})
                 for l, c in s.items():
-                    if l + d <= lmax:
+                    if l + d <= top:
                         cell[l + d] = cell.get(l + d, 0) + c
         # entries are nonnegative, so a row empties only when N^m does
         row = {j: s for j, s in nxt.items() if s}
-    return GradedSeries.from_dict(lmax, total)
+    return GradedSeries.from_dict(lmax, {Fraction(l, scale): c for l, c in total.items()})
 
 
 def categorification_check(space: QuasiMetricSpace, lmax) -> bool:

@@ -180,9 +180,11 @@ def space_from_graph(g: Graph) -> QuasiMetricSpace:
     adj = [[] for _ in range(n)]
     for (u, v) in g.edges:
         adj[u].append(v)
+    # one distance object per BFS level, shared by every pair at that level
+    levels = [ExtendedRational(level) for level in range(n)]
     dist = [[INF] * n for _ in range(n)]
     for s in range(n):
-        dist[s][s] = ExtendedRational(0)
+        dist[s][s] = levels[0]
         frontier = [s]
         level = 0
         seen = {s}
@@ -193,7 +195,7 @@ def space_from_graph(g: Graph) -> QuasiMetricSpace:
                 for v in adj[u]:
                     if v not in seen:
                         seen.add(v)
-                        dist[s][v] = ExtendedRational(level)
+                        dist[s][v] = levels[level]
                         nxt.append(v)
             frontier = nxt
     return QuasiMetricSpace(dist)
@@ -216,17 +218,6 @@ def adjacent_pairs(space: QuasiMetricSpace) -> list:
             ):
                 out.append(AdjacentPair(x, y, dxy))
     return out
-
-
-def min_positive_distance(space: QuasiMetricSpace) -> ExtendedRational:
-    """Minimum finite nonzero pairwise distance; INF if all pairs are
-    unreachable; ZeroDistance on a pseudo space."""
-    if space.n < 2:
-        raise InvalidSpace("need at least two points")
-    space.require_positive()
-    if space.min_step is None:
-        return INF
-    return ExtendedRational(Fraction(space.min_step, space.den))
 
 
 def _signature(space: QuasiMetricSpace, x: int):

@@ -170,7 +170,7 @@ def test_class_reduction_kills_coboundaries():
     for _ in range(5):
         phi = [rng.randrange(-3, 4) for _ in range(delta.ncols)]
         cob = delta.matvec(phi)
-        assert quotient.is_zero_class(cob)
+        assert not any(quotient.reduce(cob))
         # adding a coboundary moves nothing at class level
         rep = quotient.representative(0)
         shifted = [a + b for a, b in zip(rep, cob)]

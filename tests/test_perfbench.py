@@ -1,11 +1,17 @@
-"""The benchmark's own self-test and one pass each of its ring and recover
-workloads, run from the repository root: the harness wraps engine functions
-by name, so a renamed or re-signed function breaks it."""
+"""The benchmark's own self-test and one untraced pass of each of its four
+workloads (groups, ring, recover, series), run from the repository root.
+The harness wraps engine functions by name (boundary_matrix,
+space_from_graph, inversion_series, ...), so a renamed or re-signed
+function breaks it, and each pass checks its outputs against
+perfbench/reference.json, so a wrong group, export byte, recovered space or
+series coefficient fails here."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,7 +27,11 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _one_untraced_pass(workload):
+@pytest.mark.parametrize("workload", ["groups", "ring", "recover", "series"])
+def test_workload_pass_is_correct(workload):
+    """One untraced pass of each workload, checked against
+    perfbench/reference.json: the groups tables, the ring export's sha256 and
+    class products, every scrambled recover round trip, and both series."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
@@ -32,16 +42,3 @@ def _one_untraced_pass(workload):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True, proc.stdout
-
-
-def test_ring_workload_pass_is_correct():
-    """One untraced pass of the ring workload: the export's sha256 and the
-    class products are checked against perfbench/reference.json."""
-    _one_untraced_pass("ring")
-
-
-def test_recover_workload_pass_is_correct():
-    """One untraced pass of the recover workload: every scrambled round trip
-    (100 seeded small spaces and the Petersen graph) must recover an
-    isometric space, as perfbench/reference.json records."""
-    _one_untraced_pass("recover")

@@ -25,7 +25,6 @@ from magnitude.ring import (
     kronecker,
     random_unimodular,
     representative,
-    unit_class,
     unit_cochain,
 )
 from magnitude.spaces import (
@@ -217,13 +216,13 @@ def test_kronecker_unit_on_point_class():
     k3 = space_from_graph(builtin_graph("k3"))
     engine = MagnitudeHomology(k3)
     z = cycle_class_of(engine, _unit_chain(engine, (1,), 0, 0), 0, 0)
-    assert kronecker(engine, unit_class(engine), z) == 1
+    assert kronecker(engine, class_of(engine, unit_cochain(engine)), z) == 1
 
 
 def test_bidegree_mismatch():
     c4 = space_from_graph(builtin_graph("c4"))
     engine = MagnitudeHomology(c4)
-    alpha = unit_class(engine)
+    alpha = class_of(engine, unit_cochain(engine))
     z = cycle_class_of(engine, _unit_chain(engine, (0, 1), 1, 1), 1, 1)
     with pytest.raises(BidegreeMismatch):
         kronecker(engine, alpha, z)

@@ -58,13 +58,29 @@ def test_directed_three_cycle():
 
 
 def test_random_quasi_metric_spaces():
+    # integer and fractional truncations
     rng = random.Random(14)
     for _ in range(3):
         space = random_rational_space(rng, nmax=4)
-        assert categorification_check(space, 4)
+        for lmax in (4, Fraction(5, 2), Fraction(7, 3)):
+            assert categorification_check(space, lmax), lmax
     for _ in range(2):
         space = space_from_graph(random_strongly_connected_digraph(rng, nmax=4))
-        assert categorification_check(space, 4)
+        for lmax in (4, Fraction(5, 2), Fraction(7, 3)):
+            assert categorification_check(space, lmax), lmax
+
+
+def test_inversion_reads_only_the_public_matrix():
+    """The oracle must not read the engine's integer form: with that form
+    blanked, the series is unchanged."""
+    rng = random.Random(3)
+    for space in (space_from_graph(builtin_graph("c5")), random_rational_space(rng, nmax=4)):
+        for lmax in (4, Fraction(7, 3)):
+            want = inversion_series(space, lmax)
+            blank = QuasiMetricSpace(space.d)
+            for name in ("units", "den", "steps", "min_step"):
+                object.__setattr__(blank, name, None)
+            assert inversion_series(blank, lmax) == want
 
 
 def test_fractional_grades_appear():
@@ -74,6 +90,11 @@ def test_fractional_grades_appear():
     assert series.coefficient(half) == -2
     assert series.coefficient(1) == 2
     assert euler_series(space, 2) == series
+    # 7/4 is no multiple of any distance's denominator: the truncation keeps
+    # exactly the grades up to 3/2
+    series = inversion_series(space, Fraction(7, 4))
+    assert series.coefficients == ((0, 2), (half, -2), (1, 2), (3 * half, -2))
+    assert euler_series(space, Fraction(7, 4)) == series
 
 
 def test_diagonal_graphs_alternate():

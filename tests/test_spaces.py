@@ -14,7 +14,6 @@ from magnitude.spaces import (
     builtin_graph,
     format_metric_csv,
     is_isometric,
-    min_positive_distance,
     parse_graph_file,
     parse_metric_file,
     space_from_graph,
@@ -158,17 +157,6 @@ def test_is_isometric_is_an_equivalence():
             for c in spaces:
                 if is_isometric(a, b) and is_isometric(b, c):
                     assert is_isometric(a, c)
-
-
-def test_min_positive_distance():
-    s = space_from_graph(builtin_graph("c4"))
-    assert min_positive_distance(s) == ExtendedRational(1)
-    third = Fraction(1, 3)
-    t = QuasiMetricSpace([[0, third, third], [third, 0, third], [third, third, 0]])
-    assert min_positive_distance(t) == ExtendedRational(third)
-    pseudo = QuasiMetricSpace([[0, 0], [0, 0]], allow_pseudo=True)
-    with pytest.raises(ZeroDistance):
-        min_positive_distance(pseudo)
 
 
 def test_pseudo_spaces_need_explicit_flag():
