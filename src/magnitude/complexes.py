@@ -22,10 +22,6 @@ from .snf import SparseMatrix
 from .spaces import QuasiMetricSpace
 
 
-class NotNonIncreasing(ValueError):
-    """A point map that fails d_Y(f x, f x') <= d_X(x, x')."""
-
-
 def simplex_length(space: QuasiMetricSpace, simplex: tuple) -> ExtendedRational:
     total = ExtendedRational(0)
     for a, b in zip(simplex, simplex[1:]):
@@ -94,39 +90,6 @@ def boundary_matrix(
                 face = simplex[:i] + simplex[i + 1 :]
                 rows.setdefault(codomain_index[face], {})[col] = -1 if i & 1 else 1
     return SparseMatrix(len(codomain_index), len(domain), rows)
-
-
-def induced_chain_map(
-    f: list,
-    source: QuasiMetricSpace,
-    target: QuasiMetricSpace,
-    k: int,
-    l: Fraction,
-    source_basis: list,
-    target_index: dict,
-) -> SparseMatrix:
-    """Chain map of a distance-non-increasing point map in degree (k, l).
-
-    A simplex maps to its image tuple when the image has equal length, and
-    to zero otherwise (in particular when the image tuple is degenerate).
-    """
-    if len(f) != source.n:
-        raise NotNonIncreasing("point map must cover every source point")
-    for x in range(source.n):
-        for y in range(source.n):
-            if target.d[f[x]][f[y]] > source.d[x][y]:
-                raise NotNonIncreasing(
-                    f"d_Y(f({x}),f({y})) > d_X({x},{y})"
-                )
-    entries = {}
-    for col, simplex in enumerate(source_basis):
-        image = tuple(f[x] for x in simplex)
-        if any(a == b for a, b in zip(image, image[1:])):
-            continue
-        if simplex_length(target, image) != l:
-            continue
-        entries[(target_index[image], col)] = 1
-    return SparseMatrix.from_entries(len(target_index), len(source_basis), entries)
 
 
 def realizable_grades(space: QuasiMetricSpace, lmax) -> list:

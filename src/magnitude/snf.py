@@ -2,8 +2,9 @@
 
 All arithmetic is arbitrary-precision (Python int); intermediate entries in
 integer elimination can blow up even on modest matrices, so fixed-width types
-are never used.  Pivots are chosen with minimal absolute value (ties broken
-towards sparse rows/columns) to limit entry growth.
+are never used.  Pivots come from a heap, with minimal absolute value (ties
+broken towards sparse rows/columns) to limit entry growth; without transforms,
++-1 singletons are split off first (the two policies: `smith_normal_form`).
 
 Matrices are dict-of-rows {r: {c: v}} with nonzero v only.  The decomposition
 satisfies U * M * V = D exactly, with U, V unimodular and D diagonal with a
@@ -135,9 +136,8 @@ class SmithDecomposition:
         return len(self.diag)
 
     def d_matrix(self) -> SparseMatrix:
-        return SparseMatrix.from_entries(
-            self.nrows, self.ncols, {(i, i): v for i, v in enumerate(self.diag)}
-        )
+        rows = {i: {i: v} for i, v in enumerate(self.diag)}
+        return SparseMatrix(self.nrows, self.ncols, rows)
 
 
 class _Eliminator:
@@ -152,6 +152,7 @@ class _Eliminator:
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
         self.need = frozenset(need)
+        self.peeled = 0 if self.need else self._peel()
         self.U = {r: {r: 1} for r in range(self.nrows)} if "U" in self.need else None
         self.UinvT = {r: {r: 1} for r in range(self.nrows)} if "Uinv" in self.need else None
         self.VT = {c: {c: 1} for c in range(self.ncols)} if "V" in self.need else None
@@ -162,6 +163,42 @@ class _Eliminator:
         for r, d in self.rows.items():
             for c, v in d.items():
                 self._push(r, c, v)
+
+    def _peel(self) -> int:
+        """Drop each +-1 alone in its row or column with its row and column, a
+        unimodular split without fill-in; return the count.  Dropping a column
+        shortens only rows and dropping a row only columns: one pass each."""
+        rows, colrows = self.rows, self.colrows
+        peeled = 0
+        todo = [r for r, d in rows.items() if len(d) == 1]
+        while todo:
+            r = todo.pop()
+            if r in rows:  # rows only shrink here, so it is still a singleton
+                ((c, v),) = rows[r].items()
+                if v in (1, -1):
+                    peeled += 1
+                    for r2 in colrows.pop(c):
+                        row = rows[r2]
+                        del row[c]
+                        if len(row) == 1:
+                            todo.append(r2)
+                        elif not row:
+                            del rows[r2]
+        todo = [c for c, rs in colrows.items() if len(rs) == 1]
+        while todo:
+            c = todo.pop()
+            if c in colrows:
+                (r,) = colrows[c]
+                if rows[r][c] in (1, -1):
+                    peeled += 1
+                    for c2 in rows.pop(r):
+                        rs = colrows[c2]
+                        rs.discard(r)
+                        if len(rs) == 1:
+                            todo.append(c2)
+                        elif not rs:
+                            del colrows[c2]
+        return peeled
 
     # -- heap of pivot candidates, keyed for minimal entry growth ----------
 
@@ -245,17 +282,11 @@ class _Eliminator:
             self._addrow(self.Vinv.setdefault(c1, {}), self.Vinv.get(c2, {}), -t)
 
     def negate_row(self, r):
-        row = self.rows.get(r, {})
-        for c in row:
-            row[c] = -row[c]
-        if self.U is not None:
-            u = self.U.get(r, {})
-            for c in u:
-                u[c] = -u[c]
-        if self.UinvT is not None:
-            u = self.UinvT.get(r, {})
-            for c in u:
-                u[c] = -u[c]
+        for table in (self.rows, self.U, self.UinvT):
+            if table is not None:
+                row = table.get(r, {})
+                for c in row:
+                    row[c] = -row[c]
 
     def two_row_op(self, r1, r2, x, y, u, v):
         """rows (r1, r2) <- (x*r1 + y*r2, u*r1 + v*r2); x*v - y*u = +-1."""
@@ -343,7 +374,13 @@ def smith_normal_form(
     divisibility: bool = True,
 ) -> SmithDecomposition:
     """Full Smith normal form; `need` selects which transforms to track and
-    `divisibility=False` skips the invariant-factor chain (rank-only uses)."""
+    `divisibility=False` skips the invariant-factor chain (rank-only uses).
+
+    With `need` empty the pivot order is unobservable: +-1 entries alone in
+    their row or column are split off first (`_Eliminator._peel`), `diag`
+    starts with their 1s and only the core reaches the heap.  With transforms
+    the heap takes every pivot, as U and V fix the class bases and export.
+    """
     elim = _Eliminator(matrix, need)
     pivots = []
     while True:
@@ -382,7 +419,7 @@ def smith_normal_form(
     return SmithDecomposition(
         nrows=matrix.nrows,
         ncols=matrix.ncols,
-        diag=[p for _, _, p in pivots],
+        diag=[1] * elim.peeled + [p for _, _, p in pivots],
         U=permuted(elim.U, row_order, elim.nrows, elim.nrows),
         UinvT=permuted(elim.UinvT, row_order, elim.nrows, elim.nrows),
         VT=permuted(elim.VT, col_order, elim.ncols, elim.ncols),

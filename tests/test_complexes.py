@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 
 from magnitude.complexes import (
-    NotNonIncreasing,
     boundary_matrix,
     enumerate_simplices,
-    induced_chain_map,
     realizable_grades,
     simplex_length,
 )
@@ -134,58 +132,6 @@ def test_pseudo_space_blocks_computable():
     assert (0, 1, 0) in sims
     engine = MagnitudeHomology(pseudo)
     assert engine.boundary(1, 0).matmul(engine.boundary(2, 0)).is_zero()
-
-
-def test_induced_chain_map_identity_and_constant():
-    p3 = space_from_graph(builtin_graph("p3"))
-    basis = enumerate_simplices(p3, 1, 1)
-    index = {s: i for i, s in enumerate(basis)}
-    ident = induced_chain_map([0, 1, 2], p3, p3, 1, 1, basis, index)
-    from magnitude.snf import SparseMatrix
-
-    assert ident == SparseMatrix.identity(len(basis))
-    one_point = QuasiMetricSpace([[0]])
-    const = induced_chain_map([0, 0, 0], p3, one_point, 1, 1, basis, {})
-    assert const.is_zero()
-
-
-def test_induced_chain_map_isometric_inclusion():
-    p3 = space_from_graph(builtin_graph("p3"))
-    p2 = QuasiMetricSpace([row[:2] for row in [list(r) for r in p3.d][:2]])
-    src = enumerate_simplices(p2, 1, 1)
-    tgt = enumerate_simplices(p3, 1, 1)
-    index = {s: i for i, s in enumerate(tgt)}
-    m = induced_chain_map([0, 1], p2, p3, 1, 1, src, index)
-    assert m.nnz() == len(src)  # injection of bases
-
-
-def test_induced_chain_map_rejects_increasing():
-    p3 = space_from_graph(builtin_graph("p3"))
-    with pytest.raises(NotNonIncreasing):
-        induced_chain_map([0, 2, 0], p3, p3, 1, 1, enumerate_simplices(p3, 1, 1), {})
-
-
-def test_induced_map_is_a_chain_map():
-    rng = random.Random(12)
-    for _ in range(8):
-        target = random_rational_space(rng, nmax=5)
-        points = sorted(rng.sample(range(target.n), rng.randrange(2, target.n + 1)))
-        source = QuasiMetricSpace([[target.d[i][j] for j in points] for i in points])
-        f = [points[i] for i in range(len(points))]
-        src_engine = MagnitudeHomology(source)
-        tgt_engine = MagnitudeHomology(target)
-        for l in realizable_grades(source, 5)[:5]:
-            for k in range(1, 4):
-                f_k = induced_chain_map(
-                    f, source, target, k, l, src_engine.simplices(k, l), tgt_engine.index(k, l)
-                )
-                f_km1 = induced_chain_map(
-                    f, source, target, k - 1, l,
-                    src_engine.simplices(k - 1, l), tgt_engine.index(k - 1, l),
-                )
-                lhs = tgt_engine.boundary(k, l).matmul(f_k)
-                rhs = f_km1.matmul(src_engine.boundary(k, l))
-                assert lhs == rhs
 
 
 def test_realizable_grades():

@@ -1,6 +1,7 @@
+import copy
 import random
 
-from magnitude.snf import SparseMatrix, invariant_factors, rank, smith_normal_form
+from magnitude.snf import SparseMatrix, _Eliminator, invariant_factors, rank, smith_normal_form
 
 
 def verify_decomposition(matrix):
@@ -15,6 +16,12 @@ def verify_decomposition(matrix):
     return sm
 
 
+def _peeled_core(matrix):
+    """(number peeled, remaining rows) of the factors-only eliminator."""
+    elim = _Eliminator(matrix, ())
+    return elim.peeled, elim.rows
+
+
 def test_spec_examples():
     assert verify_decomposition(SparseMatrix.from_dense([[2, 0], [0, 3]])).diag == [1, 6]
     assert verify_decomposition(SparseMatrix.from_dense([[0, 0], [0, 0]])).diag == []
@@ -22,9 +29,11 @@ def test_spec_examples():
 
 
 def test_empty_shapes():
-    assert verify_decomposition(SparseMatrix(0, 4)).diag == []
-    assert verify_decomposition(SparseMatrix(4, 0)).diag == []
-    assert verify_decomposition(SparseMatrix(0, 0)).diag == []
+    for matrix in (SparseMatrix(0, 4), SparseMatrix(4, 0), SparseMatrix(0, 0), SparseMatrix(3, 3)):
+        assert verify_decomposition(matrix).diag == []
+        assert _peeled_core(matrix) == (0, {})
+        assert invariant_factors(matrix) == []
+        assert rank(matrix) == 0
 
 
 def test_known_invariant_factors():
@@ -75,3 +84,74 @@ def test_determinism():
     b = smith_normal_form(SparseMatrix.from_dense(dense))
     assert a.diag == b.diag
     assert a.U == b.U and a.VT == b.VT and a.Vinv == b.Vinv and a.UinvT == b.UinvT
+
+
+# -- the unit-singleton peel, taken when no transform is tracked ------------
+
+
+def test_peel_matches_transforms_path_on_random_sparse_matrices():
+    # the transforms path never peels, so it is an independent reference
+    rng = random.Random(7)
+    for _ in range(300):
+        m = rng.randrange(0, 9)
+        n = rng.randrange(0, 9)
+        density = rng.choice((0.15, 0.3, 0.5))
+        dense = [
+            [rng.choice((1, -1, 2, -2, 3)) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        matrix = SparseMatrix.from_dense(dense)
+        diag = verify_decomposition(matrix).diag
+        assert invariant_factors(matrix) == diag
+        assert rank(matrix) == len(diag)
+        core = _peeled_core(matrix)[1]
+        # the peel is exhaustive: no unit is left alone in a row or column
+        cols = {}
+        for r, d in core.items():
+            assert not (len(d) == 1 and abs(next(iter(d.values()))) == 1)
+            for c, v in d.items():
+                cols.setdefault(c, []).append(v)
+        assert not any(len(vs) == 1 and abs(vs[0]) == 1 for vs in cols.values())
+
+
+def test_peel_follows_a_chain_of_exposed_singletons():
+    # rows i: e_i + e_{i+1}; only the last row starts as a singleton, and each
+    # removal exposes the row above it
+    n = 12
+    dense = [[1 if c in (r, r + 1) else 0 for c in range(n)] for r in range(n)]
+    matrix = SparseMatrix.from_dense(dense)
+    assert _peeled_core(matrix) == (n, {})
+    assert invariant_factors(matrix) == [1] * n
+    # the same chain down the columns, with a column of 2s so that no row
+    # starts as a singleton: only the column pass can take it
+    dense = [[1 if r in (c, c + 1) else 0 for c in range(n)] + [2] for r in range(n)]
+    matrix = SparseMatrix.from_dense(dense)
+    assert not any(len(d) == 1 for d in matrix.rows.values())
+    assert _peeled_core(matrix) == (n, {})
+    assert invariant_factors(matrix) == verify_decomposition(matrix).diag == [1] * n
+    assert rank(matrix) == n
+    # column 0 is a unit singleton; dropping it with row 0 leaves a torsion core
+    matrix = SparseMatrix.from_dense([[1, 1, 0], [0, 2, 0], [0, 0, 2]])
+    assert _peeled_core(matrix) == (1, {1: {1: 2}, 2: {2: 2}})
+    assert invariant_factors(matrix) == verify_decomposition(matrix).diag == [1, 2, 2]
+
+
+def test_non_unit_singletons_are_not_peeled():
+    matrix = SparseMatrix.from_dense([[2, 0], [0, 3]])
+    assert _peeled_core(matrix) == (0, {0: {0: 2}, 1: {1: 3}})
+    assert invariant_factors(matrix) == [1, 6]
+    assert rank(matrix) == 2
+    matrix = SparseMatrix.from_dense([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert _peeled_core(matrix)[0] == 1
+    assert invariant_factors(matrix) == [1, 1, 6]
+
+
+def test_peel_leaves_the_input_unmodified():
+    rng = random.Random(11)
+    for _ in range(50):
+        dense = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(6)] for _ in range(5)]
+        matrix = SparseMatrix.from_dense(dense)
+        before = copy.deepcopy(matrix.rows)
+        invariant_factors(matrix)
+        rank(matrix)
+        assert matrix.rows == before and (matrix.nrows, matrix.ncols) == (5, 6)
