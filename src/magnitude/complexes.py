@@ -17,16 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .rationals import ExtendedRational
 from .snf import SparseMatrix
 from .spaces import QuasiMetricSpace
-
-
-def simplex_length(space: QuasiMetricSpace, simplex: tuple) -> ExtendedRational:
-    total = ExtendedRational(0)
-    for a, b in zip(simplex, simplex[1:]):
-        total = total + space.d[a][b]
-    return total
 
 
 def enumerate_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> list:

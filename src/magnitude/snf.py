@@ -5,6 +5,8 @@ integer elimination can blow up even on modest matrices, so fixed-width types
 are never used.  Pivots come from a heap, with minimal absolute value (ties
 broken towards sparse rows/columns) to limit entry growth; without transforms,
 +-1 singletons are split off first (the two policies: `smith_normal_form`).
+A finished pivot's row and column leave the eliminator; the invariant-factor
+repair then works on the pivot list and records only the transforms.
 
 Matrices are dict-of-rows {r: {c: v}} with nonzero v only.  The decomposition
 satisfies U * M * V = D exactly, with U, V unimodular and D diagonal with a
@@ -140,6 +142,32 @@ class SmithDecomposition:
         return SparseMatrix(self.nrows, self.ncols, rows)
 
 
+def _mirror(fwd, invT, dst, src, t):
+    """Line dst += t * line src on a transform kept by its lines (U by rows,
+    V as VT), and the inverse's update on its lines (UinvT, Vinv): line src
+    -= t * line dst.  An untracked table is None."""
+    for table, a, b, s in ((fwd, dst, src, t), (invT, src, dst, -t)):
+        if table is not None:
+            target = table.setdefault(a, {})
+            for c, v in table.get(b, {}).items():
+                nv = target.get(c, 0) + s * v
+                if nv:
+                    target[c] = nv
+                else:
+                    target.pop(c, None)
+
+
+def _combine(a: dict, b: dict, s: int, t: int) -> dict:
+    out = {c: s * v for c, v in a.items()}
+    for c, v in b.items():
+        nv = out.get(c, 0) + t * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return {c: v for c, v in out.items() if v}
+
+
 class _Eliminator:
     """Mutable elimination state over synchronized row/column indexes."""
 
@@ -157,8 +185,6 @@ class _Eliminator:
         self.UinvT = {r: {r: 1} for r in range(self.nrows)} if "Uinv" in self.need else None
         self.VT = {c: {c: 1} for c in range(self.ncols)} if "V" in self.need else None
         self.Vinv = {c: {c: 1} for c in range(self.ncols)} if "Vinv" in self.need else None
-        self.done_rows = set()
-        self.done_cols = set()
         self.heap = []
         for r, d in self.rows.items():
             for c, v in d.items():
@@ -212,8 +238,6 @@ class _Eliminator:
         while self.heap:
             key = heapq.heappop(self.heap)
             _, _, r, c = key
-            if r in self.done_rows or c in self.done_cols:
-                continue
             v = self.rows.get(r, {}).get(c)
             if v is None:
                 continue
@@ -225,15 +249,6 @@ class _Eliminator:
         return None
 
     # -- elementary operations, mirrored on the transforms -----------------
-
-    @staticmethod
-    def _addrow(target: dict, source: dict, t: int):
-        for c, v in source.items():
-            nv = target.get(c, 0) + t * v
-            if nv:
-                target[c] = nv
-            else:
-                target.pop(c, None)
 
     def row_op(self, r2, r1, t):
         """row r2 += t * row r1"""
@@ -254,10 +269,7 @@ class _Eliminator:
                     self.colrows[c].discard(r2)
         if not row2:
             del self.rows[r2]
-        if self.U is not None:
-            self._addrow(self.U.setdefault(r2, {}), self.U.get(r1, {}), t)
-        if self.UinvT is not None:
-            self._addrow(self.UinvT.setdefault(r1, {}), self.UinvT.get(r2, {}), -t)
+        _mirror(self.U, self.UinvT, r2, r1, t)
 
     def col_op(self, c2, c1, t):
         """col c2 += t * col c1"""
@@ -276,10 +288,7 @@ class _Eliminator:
                 if c2 in row:
                     del row[c2]
                     self.colrows[c2].discard(r)
-        if self.VT is not None:
-            self._addrow(self.VT.setdefault(c2, {}), self.VT.get(c1, {}), t)
-        if self.Vinv is not None:
-            self._addrow(self.Vinv.setdefault(c1, {}), self.Vinv.get(c2, {}), -t)
+        _mirror(self.VT, self.Vinv, c2, c1, t)
 
     def negate_row(self, r):
         for table in (self.rows, self.U, self.UinvT):
@@ -289,47 +298,19 @@ class _Eliminator:
                     row[c] = -row[c]
 
     def two_row_op(self, r1, r2, x, y, u, v):
-        """rows (r1, r2) <- (x*r1 + y*r2, u*r1 + v*r2); x*v - y*u = +-1."""
-        row1 = dict(self.rows.get(r1, {}))
-        row2 = dict(self.rows.get(r2, {}))
-        self._set_row(r1, self._combine(row1, row2, x, y))
-        self._set_row(r2, self._combine(row1, row2, u, v))
-        det = x * v - y * u
+        """rows (r1, r2) of U <- (x*r1 + y*r2, u*r1 + v*r2), x*v - y*u = 1,
+        mirrored on U^-1; the matrix itself is not touched."""
         if self.U is not None:
             u1 = self.U.get(r1, {})
             u2 = self.U.get(r2, {})
-            self.U[r1] = self._combine(u1, u2, x, y)
-            self.U[r2] = self._combine(u1, u2, u, v)
+            self.U[r1] = _combine(u1, u2, x, y)
+            self.U[r2] = _combine(u1, u2, u, v)
         if self.UinvT is not None:
-            # Uinv <- Uinv * R^-1 with R^-1 = det * [[v, -y], [-u, x]]
+            # Uinv <- Uinv * R^-1 with R^-1 = [[v, -y], [-u, x]]
             t1 = self.UinvT.get(r1, {})
             t2 = self.UinvT.get(r2, {})
-            self.UinvT[r1] = self._combine(t1, t2, det * v, -det * u)
-            self.UinvT[r2] = self._combine(t1, t2, -det * y, det * x)
-
-    @staticmethod
-    def _combine(a: dict, b: dict, s: int, t: int) -> dict:
-        out = {}
-        for c, v in a.items():
-            out[c] = s * v
-        for c, v in b.items():
-            nv = out.get(c, 0) + t * v
-            if nv:
-                out[c] = nv
-            else:
-                out.pop(c, None)
-        return {c: v for c, v in out.items() if v}
-
-    def _set_row(self, r, newrow: dict):
-        for c in self.rows.get(r, {}):
-            self.colrows[c].discard(r)
-        if newrow:
-            self.rows[r] = newrow
-            for c, v in newrow.items():
-                self.colrows.setdefault(c, set()).add(r)
-                self._push(r, c, v)
-        else:
-            self.rows.pop(r, None)
+            self.UinvT[r1] = _combine(t1, t2, v, -u)
+            self.UinvT[r2] = _combine(t1, t2, -y, x)
 
     # -- pivot elimination --------------------------------------------------
 
@@ -362,10 +343,10 @@ class _Eliminator:
             return r, c, self.rows[r][c]
 
     def deactivate(self, r, c):
-        # keep data live (the divisibility pass still edits pivot rows),
-        # just exclude the row and column from future pivot selection
-        self.done_rows.add(r)
-        self.done_cols.add(c)
+        """A finished pivot leaves: its row and column hold only the pivot,
+        which the caller keeps in its pivot list."""
+        del self.rows[r]
+        del self.colrows[c]
 
 
 def smith_normal_form(
@@ -387,15 +368,15 @@ def smith_normal_form(
         cell = elim._pop_pivot()
         if cell is None:
             break
-        r, c = elim.eliminate(*cell)[:2]
-        pivots.append((r, c, elim.rows[r][c]))
+        r, c, p = elim.eliminate(*cell)
+        pivots.append((r, c, p))
         elim.deactivate(r, c)
         if (r, c) != cell:
             # the popped cell's heap entry was consumed but the pivot
             # migrated during gcd-chasing; restore its candidacy
             r0, c0 = cell
             v = elim.rows.get(r0, {}).get(c0)
-            if v is not None and r0 not in elim.done_rows and c0 not in elim.done_cols:
+            if v is not None:
                 elim._push(r0, c0, v)
 
     if divisibility:
@@ -428,7 +409,13 @@ def smith_normal_form(
 
 
 def _fix_divisibility(elim: _Eliminator, pivots: list):
-    """Pairwise gcd/lcm repair so that pivots form a divisibility chain."""
+    """Pairwise gcd/lcm repair so that pivots form a divisibility chain.
+
+    A finished pivot's row and column held only the pivot, so a step on pivots
+    a at (ri, ci) and b at (rj, cj) is fixed by (a, b) and is recorded on the
+    transforms alone: col ci += col cj, rows (x*ri + y*rj, (a*rj - b*ri)/g)
+    give diag(g, lcm(a, b)) and a stray y*b at (ri, cj), and col cj -=
+    (y*b/g) * col ci clears it."""
     changed = True
     while changed:
         changed = False
@@ -442,18 +429,11 @@ def _fix_divisibility(elim: _Eliminator, pivots: list):
                     continue
                 changed = True
                 x, y, g = xgcd(a, b)
-                ll = a // g * b
-                # col ci += col cj brings b into the pivot column, then a
-                # unimodular 2x2 row op produces diag(g, lcm), then the stray
-                # entry is cleared by an exact column op.
-                elim.col_op(ci, cj, 1)
+                _mirror(elim.VT, elim.Vinv, ci, cj, 1)
                 elim.two_row_op(ri, rj, x, y, -(b // g), a // g)
-                stray = elim.rows.get(ri, {}).get(cj, 0)
-                elim.col_op(cj, ci, -(stray // g))
-                if elim.rows[rj][cj] < 0:
-                    elim.negate_row(rj)
+                _mirror(elim.VT, elim.Vinv, cj, ci, -(y * b // g))
                 pivots[i] = (ri, ci, g)
-                pivots[j] = (rj, cj, ll)
+                pivots[j] = (rj, cj, a // g * b)
                 a = g
 
 

@@ -50,6 +50,8 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidSpace(f"negative vertex count {self.n}")
         for (u, v) in self.edges:
             if u == v:
                 raise InvalidSpace(f"loop at vertex {u}")
@@ -343,12 +345,14 @@ def builtin_graph(name: str) -> Graph:
 
 def parse_graph_file(text: str) -> Graph:
     """Edge-list format: first line 'n [directed|undirected]', then 'u v' lines."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise InvalidSpace("empty graph file")
     head = lines[0].split()
+    if head[1:] not in ([], ["directed"], ["undirected"]):
+        raise InvalidSpace(f"graph header must be 'n [directed|undirected]', got {lines[0]!r}")
     n = int(head[0])
-    directed = len(head) > 1 and head[1] == "directed"
+    directed = head[1:] == ["directed"]
     pairs = []
     for ln in lines[1:]:
         u, v = ln.split()

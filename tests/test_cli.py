@@ -151,6 +151,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "poset", "--poset", str(poset), "--kmax", "2")
         assert code == 2 and out == "", name
         assert err.startswith("error:") and err.count("\n") == 1, name
+    # a negative vertex count, and headers other than 'n [directed|undirected]'
+    for name, text in (("negative", "-2\n"), ("sideways", "2 sideways\n"), ("extra", "3 undirected extra\n")):
+        graph = tmp_path / f"{name}.graph"
+        graph.write_text(text)
+        code, out, err = run(capsys, "homology", "--graph", str(graph), "--kmax", "1", "--lmax", "1")
+        assert code == 2 and out == "", name
+        assert err.startswith("error:") and err.count("\n") == 1, name
+    # an indented comment is a comment, not a vertex count or an edge
+    outputs = []
+    for name, text in (("plain", "3\n0 1\n"), ("indented", "  # note\n3\n  # note\n0 1\n")):
+        graph = tmp_path / f"{name}.graph"
+        graph.write_text(text)
+        code, out, _ = run(capsys, "homology", "--graph", str(graph), "--kmax", "1", "--lmax", "1")
+        assert code == 0, name
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
     bare = tmp_path / "bare.json"
     bare.write_text('{"format":"magnitude-ring/1"}')
     code, _, err = run(capsys, "recover", "--ring", str(bare))

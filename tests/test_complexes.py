@@ -8,7 +8,6 @@ from magnitude.complexes import (
     boundary_matrix,
     enumerate_simplices,
     realizable_grades,
-    simplex_length,
 )
 from magnitude.homology import MagnitudeHomology
 from magnitude.rationals import ExtendedRational
@@ -21,6 +20,14 @@ from magnitude.spaces import (
 )
 
 from samples import random_connected_graph, random_rational_space
+
+
+def simplex_length(space, simplex) -> ExtendedRational:
+    """Oracle: the sum of consecutive public distances, INF included."""
+    total = ExtendedRational(0)
+    for a, b in zip(simplex, simplex[1:]):
+        total = total + space.d[a][b]
+    return total
 
 
 def brute_force_simplices(space, k, l):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import random
@@ -314,6 +315,13 @@ def test_hemicube_torsion_survives_the_scrambled_export():
     t = [1]
     assert pres.mult(b00, list(pres.unit), b44, t) == (b44, t)
     assert pres.mult(b44, t, b00, list(pres.unit)) == (b44, t)
+
+
+def test_hemicube_scrambled_export_bytes_are_pinned():
+    # the one pinned export with a torsion block, so its class bases come
+    # from transforms through non-unit pivots
+    digest = hashlib.sha256(_hemicube_export()[1].to_json().encode()).hexdigest()
+    assert digest == "0ca32de69c6584189d3d15b37bb8ba8b475baf7beabe06b8e45d43ff464944c0"
 
 
 def _scrambled_products(space, pres, kmax, lmax, seed):

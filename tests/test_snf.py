@@ -13,6 +13,13 @@ def verify_decomposition(matrix):
     for a, b in zip(sm.diag, sm.diag[1:]):
         assert b % a == 0
     assert all(d > 0 for d in sm.diag)
+    # a tracked transform does not depend on which others are tracked; each
+    # need set the engine uses leaves one side of a transform pair untracked
+    for need in (("V", "Vinv"), ("U", "Uinv"), ("U", "V")):
+        part = smith_normal_form(matrix, need)
+        assert part.diag == sm.diag
+        for name, attr in (("U", "U"), ("Uinv", "UinvT"), ("V", "VT"), ("Vinv", "Vinv")):
+            assert getattr(part, attr) == (getattr(sm, attr) if name in need else None), (need, name)
     return sm
 
 
@@ -155,3 +162,45 @@ def test_peel_leaves_the_input_unmodified():
         invariant_factors(matrix)
         rank(matrix)
         assert matrix.rows == before and (matrix.nrows, matrix.ncols) == (5, 6)
+
+
+# -- the divisibility repair, recorded on the transforms alone ---------------
+
+
+def test_repair_step_transforms_are_pinned():
+    # each matrix runs exactly one repair step, on [2, 3], [4, 6] and
+    # [2, 4, 78]; other but still valid transforms would move the class bases
+    # and so the export bytes, which is why the exact transforms are pinned
+    cases = (
+        (
+            [[2, 0], [0, 3]],
+            [1, 6],
+            {0: {0: -1, 1: 1}, 1: {0: -3, 1: 2}},
+            {0: {0: 2, 1: 3}, 1: {0: -1, 1: -1}},
+            {0: {0: 1, 1: 1}, 1: {1: -2, 0: -3}},
+            {0: {0: -2, 1: 3}, 1: {1: 1, 0: -1}},
+        ),
+        (
+            [[4, 0], [0, 6]],
+            [2, 12],
+            {0: {0: -1, 1: 1}, 1: {0: -3, 1: 2}},
+            {0: {0: 2, 1: 3}, 1: {0: -1, 1: -1}},
+            {0: {0: 1, 1: 1}, 1: {1: -2, 0: -3}},
+            {0: {0: -2, 1: 3}, 1: {1: 1, 0: -1}},
+        ),
+        (
+            [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
+            [2, 2, 156],
+            {0: {0: 1}, 1: {2: 13, 0: -68, 1: -1}, 2: {2: 27, 0: -141, 1: -2}},
+            {0: {0: 1, 1: -3, 2: 5}, 1: {2: -2, 1: -27}, 2: {2: 1, 1: 13}},
+            {0: {0: 1}, 1: {2: -3, 0: 4, 1: 1}, 2: {1: -38, 0: -150, 2: 113}},
+            {0: {0: 1, 1: 2, 2: 2}, 1: {2: -38, 1: -113}, 2: {1: -3, 2: -1}},
+        ),
+    )
+    for dense, diag, u, uinvt, vt, vinv in cases:
+        sm = verify_decomposition(SparseMatrix.from_dense(dense))
+        assert sm.diag == diag
+        assert (sm.U.rows, sm.UinvT.rows, sm.VT.rows, sm.Vinv.rows) == (u, uinvt, vt, vinv)
+        unrepaired = smith_normal_form(SparseMatrix.from_dense(dense), divisibility=False).diag
+        assert unrepaired != diag
+
