@@ -17,13 +17,11 @@ from fractions import Fraction
 from .homology import AbelianGroup, LatticeQuotient, MagnitudeHomology
 from .ring import class_of, class_product, indicator_cochain
 from .snf import SparseMatrix
-from .spaces import Graph, QuasiMetricSpace, space_from_graph
+from .spaces import Graph, space_from_graph
 
 
 def edge_paths(g: Graph, k: int) -> list:
     """Edge paths of length k (walks; backtracking allowed), lexicographic."""
-    if k == 0:
-        return [(x,) for x in range(g.n)]
     succ = [g.successors(u) for u in range(g.n)]
     out = []
 
@@ -56,47 +54,31 @@ class DiagonalQuotient:
         return self.quotient.reduce(vec)
 
 
-def _distance2_pairs(space: QuasiMetricSpace):
-    two = Fraction(2)
-    return [
-        (x, z)
-        for x in range(space.n)
-        for z in range(space.n)
-        if x != z and not space.d[x][z].is_infinite and space.d[x][z].value == two
-    ]
-
-
 def diagonal_quotient(g: Graph, k: int) -> DiagonalQuotient:
     """The degree-k piece of the path algebra modulo the midpoint relations."""
-    space = space_from_graph(g)
     paths = edge_paths(g, k)
     index = {p: i for i, p in enumerate(paths)}
-    neighbours = [set(g.successors(u)) for u in range(g.n)]
-    gaps = _distance2_pairs(space)
+    succ = [g.successors(u) for u in range(g.n)]
+    # gaps[x][z]: the midpoints y, x -> y -> z, of a pair at distance 2
+    gaps = [{} for _ in range(g.n)]
+    for x in range(g.n):
+        for y in succ[x]:
+            for z in succ[y]:
+                if z != x and z not in succ[x]:
+                    gaps[x].setdefault(z, []).append(y)
     rows = []
     # One relation per context: an edge path broken by a single distance-2
-    # gap at position i, summed over all midpoints of the gap.
+    # gap at position i, summed over all midpoints of the gap.  Distinct
+    # midpoints give distinct paths, so each relation row is a sum of 1s.
     for i in range(1, k):
         suffixes = {}
         for suffix in edge_paths(g, k - 1 - i):
             suffixes.setdefault(suffix[0], []).append(suffix)
         for prefix in edge_paths(g, i - 1):
-            x = prefix[-1]
-            for (a, z) in gaps:
-                if a != x:
-                    continue
-                mids = sorted(neighbours[x] & neighbours[z])
+            for z, mids in sorted(gaps[prefix[-1]].items()):
                 for suffix in suffixes.get(z, ()):
-                    row = {}
-                    for y in mids:
-                        p = prefix + (y,) + (z,) + suffix[1:]
-                        row[index[p]] = row.get(index[p], 0) + 1
-                    rows.append(row)
-    rel_entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            rel_entries[(r, c)] = v
-    relations = SparseMatrix.from_entries(len(rows), len(paths), rel_entries)
+                    rows.append({index[prefix + (y, z) + suffix[1:]]: 1 for y in mids})
+    relations = SparseMatrix(len(rows), len(paths), dict(enumerate(rows)))
     quotient = LatticeQuotient(None, relations.transpose(), len(paths))
     return DiagonalQuotient(k, paths, quotient.group, quotient)
 

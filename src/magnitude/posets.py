@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .homology import BlockComplex
 from .snf import SparseMatrix
-from .spaces import InputError
+from .spaces import InputError, file_lines, line_ints
 
 
 class InvalidPoset(InputError):
@@ -73,17 +73,14 @@ class FinitePoset:
 
 
 def parse_poset_file(text: str) -> FinitePoset:
-    """Format: first line n, then cover lines 'a < b'."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Format: first line n, then cover lines 'a < b'; blank lines and '#'
+    comments are skipped."""
+    lines = list(file_lines(text))
     if not lines:
         raise InvalidPoset("empty poset file")
-    n = int(lines[0])
-    covers = []
-    for ln in lines[1:]:
-        a, op, b = ln.split()
-        if op != "<":
-            raise InvalidPoset(f"malformed cover line {ln!r}")
-        covers.append((int(a), int(b)))
+    number, head = lines[0]
+    (n,) = line_ints(number, head.split(), "n")
+    covers = [line_ints(number, line.split(), "a < b") for number, line in lines[1:]]
     return FinitePoset.from_cover_relations(n, covers)
 
 
@@ -129,14 +126,14 @@ class OrderComplex(BlockComplex):
         return out
 
     def _boundary_matrix(self, k: int) -> SparseMatrix:
+        # the faces of a strict chain are distinct, so each entry is one sign
         index = self.index(k - 1)
-        entries = {}
+        rows = {}
         for col, chain in enumerate(self.basis(k)):
             for i in range(k + 1):
                 face = chain[:i] + chain[i + 1 :]
-                row = index[face]
-                entries[(row, col)] = entries.get((row, col), 0) + (-1) ** i
-        return SparseMatrix.from_entries(len(index), len(self.basis(k)), entries)
+                rows.setdefault(index[face], {})[col] = -1 if i & 1 else 1
+        return SparseMatrix(len(index), len(self.basis(k)), rows)
 
 
 def unit_cochain(complex_: OrderComplex) -> tuple:

@@ -5,6 +5,8 @@ integer elimination can blow up even on modest matrices, so fixed-width types
 are never used.  Pivots come from a heap, with minimal absolute value (ties
 broken towards sparse rows/columns) to limit entry growth; without transforms,
 +-1 singletons are split off first (the two policies: `smith_normal_form`).
+Row operations clear a pivot's column; the row sweep then reduces the pivot
+row in place, as a column operation against the lone pivot moves one entry.
 A finished pivot's row and column leave the eliminator; the invariant-factor
 repair then works on the pivot list and records only the transforms.
 
@@ -43,14 +45,6 @@ class SparseMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
-
-    @staticmethod
-    def from_entries(nrows, ncols, entries):
-        rows = {}
-        for (r, c), v in entries.items():
-            if v:
-                rows.setdefault(r, {})[c] = v
-        return SparseMatrix(nrows, ncols, rows)
 
     @staticmethod
     def from_dense(dense):
@@ -271,25 +265,6 @@ class _Eliminator:
             del self.rows[r2]
         _mirror(self.U, self.UinvT, r2, r1, t)
 
-    def col_op(self, c2, c1, t):
-        """col c2 += t * col c1"""
-        if not t:
-            return
-        for r in list(self.colrows.get(c1, ())):
-            row = self.rows[r]
-            v = row[c1]
-            nv = row.get(c2, 0) + t * v
-            if nv:
-                if c2 not in row:
-                    self.colrows.setdefault(c2, set()).add(r)
-                row[c2] = nv
-                self._push(r, c2, nv)
-            else:
-                if c2 in row:
-                    del row[c2]
-                    self.colrows[c2].discard(r)
-        _mirror(self.VT, self.Vinv, c2, c1, t)
-
     def negate_row(self, r):
         for table in (self.rows, self.U, self.UinvT):
             if table is not None:
@@ -316,7 +291,10 @@ class _Eliminator:
 
     def eliminate(self, r, c):
         """Clear row r and column c, gcd-reducing until the pivot divides
-        everything it meets; returns the final (r, c, pivot>0)."""
+        everything it meets; return the final (r, c, pivot>0), whose row and
+        column, holding only the pivot, leave the eliminator.  Once the pivot
+        is alone in its column, the row sweep reduces each entry of row r in
+        place to its remainder mod the pivot, mirrored on the V transforms."""
         while True:
             if self.rows[r][c] < 0:
                 self.negate_row(r)
@@ -331,22 +309,26 @@ class _Eliminator:
             if leftovers:
                 r = min(leftovers, key=lambda rr: (self.rows[rr][c], rr))
                 continue
-            for c2 in list(self.rows.get(r, {})):
+            row = self.rows[r]
+            for c2 in list(row):
                 if c2 == c:
                     continue
-                q = self.rows[r][c2] // p
-                self.col_op(c2, c, -q)
-            rem = [c2 for c2 in self.rows.get(r, {}) if c2 != c]
+                q, v = divmod(row[c2], p)
+                if not q:
+                    continue
+                if v:
+                    row[c2] = v
+                    self._push(r, c2, v)
+                else:
+                    del row[c2]
+                    self.colrows[c2].discard(r)
+                _mirror(self.VT, self.Vinv, c2, c, -q)
+            rem = [c2 for c2 in row if c2 != c]
             if rem:
-                c = min(rem, key=lambda cc: (self.rows[r][cc], cc))
+                c = min(rem, key=lambda cc: (row[cc], cc))
                 continue
-            return r, c, self.rows[r][c]
-
-    def deactivate(self, r, c):
-        """A finished pivot leaves: its row and column hold only the pivot,
-        which the caller keeps in its pivot list."""
-        del self.rows[r]
-        del self.colrows[c]
+            del self.rows[r], self.colrows[c]
+            return r, c, p
 
 
 def smith_normal_form(
@@ -370,7 +352,6 @@ def smith_normal_form(
             break
         r, c, p = elim.eliminate(*cell)
         pivots.append((r, c, p))
-        elim.deactivate(r, c)
         if (r, c) != cell:
             # the popped cell's heap entry was consumed but the pivot
             # migrated during gcd-chasing; restore its candidacy

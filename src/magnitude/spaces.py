@@ -15,6 +15,7 @@ grade, being a sum of distances, is then an integer in the same units.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -343,34 +344,47 @@ def builtin_graph(name: str) -> Graph:
     raise InvalidSpace(f"unknown builtin graph {name!r}")
 
 
+def file_lines(text: str):
+    """The numbered (from 1), stripped lines of a graph, poset or metric file,
+    without blank lines and comments (a '#' after any indentation)."""
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield number, line
+
+
+def line_ints(number: int, fields: list, form: str) -> list:
+    """The integers of line `number`, whose fields match the words of its
+    form: a plain word stands for an integer and a symbol for itself, as in
+    'a < b'; a [bracketed] word is left to the caller.  Else an InputError."""
+    words = [w for w in form.split() if not w.startswith("[")]
+    if len(fields) == len(words) and all(f == w for f, w in zip(fields, words) if not w.isalpha()):
+        with suppress(ValueError):
+            return [int(f) for f, w in zip(fields, words) if w.isalpha()]
+    raise InputError(f"line {number}: expected '{form}'")
+
+
 def parse_graph_file(text: str) -> Graph:
-    """Edge-list format: first line 'n [directed|undirected]', then 'u v' lines."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    """Edge-list format: first line 'n [directed|undirected]', then 'u v'
+    lines; blank lines and '#' comments are skipped."""
+    lines = list(file_lines(text))
     if not lines:
         raise InvalidSpace("empty graph file")
-    head = lines[0].split()
-    if head[1:] not in ([], ["directed"], ["undirected"]):
-        raise InvalidSpace(f"graph header must be 'n [directed|undirected]', got {lines[0]!r}")
-    n = int(head[0])
-    directed = head[1:] == ["directed"]
-    pairs = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        pairs.append((int(u), int(v)))
-    if directed:
+    number, head = lines[0]
+    count, *kind = head.split()
+    valid = kind in ([], ["directed"], ["undirected"])
+    (n,) = line_ints(number, [count] if valid else [], "n [directed|undirected]")
+    pairs = [line_ints(number, line.split(), "u v") for number, line in lines[1:]]
+    if kind == ["directed"]:
         return Graph.directed_graph(n, pairs)
     return Graph.undirected(n, pairs)
 
 
 def parse_metric_file(text: str) -> QuasiMetricSpace:
     """CSV of n rows x n columns with entries 'p/q', integers, or 'inf'."""
-    rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        rows.append([parse_rational(cell) for cell in ln.split(",")])
-    return QuasiMetricSpace(rows)
+    return QuasiMetricSpace(
+        [[parse_rational(cell) for cell in line.split(",")] for _, line in file_lines(text)]
+    )
 
 
 def format_metric_csv(space: QuasiMetricSpace) -> str:

@@ -135,6 +135,32 @@ def test_verify_poset(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_diagonal_on_a_directed_path(capsys, tmp_path):
+    f = tmp_path / "path.graph"
+    f.write_text("3 directed\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "verify", "diagonal", "--graph", str(f), "--lmax", "2")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_verify_builtin_posets(capsys):
+    for name, want in (("chain3", 0), ("antichain2", 0), ("nosuch", 2)):
+        code, _, _ = run(capsys, "verify", "poset", "--poset", name)
+        assert code == want, name
+
+
+def test_verify_without_its_flags_exits_2(capsys):
+    for argv in (
+        ("diagonal", "--lmax", "2"),
+        ("diagonal", "--graph", "k3"),
+        ("diagonal", "--graph", "k3", "--lmax", "1/0"),
+        ("cyclic", "--n", "5"),
+        ("poset",),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "homology", "--graph", "nosuch", "--kmax", "1", "--lmax", "1")
     assert code == 2 and "error" in err
@@ -167,6 +193,28 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 0, name
         outputs.append(out)
     assert outputs[0] == outputs[1]
+    # a malformed graph or poset line names its number and its expected form
+    for name, text, message in (
+        ("fields", "3\n0 1 2\n", "line 2: expected 'u v'"),
+        ("one", "3\n# note\n0\n", "line 3: expected 'u v'"),
+        ("word", "3\n0 x\n", "line 2: expected 'u v'"),
+        ("header", "x\n", "line 1: expected 'n [directed|undirected]'"),
+        ("fraction", "3.5\n", "line 1: expected 'n [directed|undirected]'"),
+        ("pair.poset", "3\n0 1\n", "line 2: expected 'a < b'"),
+        ("chain.poset", "3\n0 < 1 < 2\n", "line 2: expected 'a < b'"),
+        ("count.poset", "x\n", "line 1: expected 'n'"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        if name.endswith(".poset"):
+            code, out, err = run(capsys, "verify", "poset", "--poset", str(path), "--kmax", "1")
+        else:
+            code, out, err = run(capsys, "homology", "--graph", str(path), "--kmax", "1", "--lmax", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), name
+    poset = tmp_path / "indented.poset"
+    poset.write_text("3\n  # note\n0 < 1\n")
+    code, out, _ = run(capsys, "verify", "poset", "--poset", str(poset), "--kmax", "2")
+    assert code == 0 and json.loads(out)["n"] == 3
     bare = tmp_path / "bare.json"
     bare.write_text('{"format":"magnitude-ring/1"}')
     code, _, err = run(capsys, "recover", "--ring", str(bare))

@@ -124,6 +124,8 @@ def test_reduce_word_examples():
     assert reduce_word([("e", 0), ("a", 0, 1)], 5) == AdmissibleSimplex((0, 1), (1,))
     assert reduce_word([("e", 1), ("a", 0, 1)], 5) is None
     assert reduce_word([("e", 2), ("e", 2)], 5) == AdmissibleSimplex((2,), ())
+    assert reduce_word([("a", 0, 1), ("e", 1)], 5) == AdmissibleSimplex((0, 1), (1,))
+    assert reduce_word([("a", 0, 1), ("e", 0)], 5) is None
     # a then b of the same direction bubbles into b then a
     got = reduce_word([("a", 0, 1), ("b", 1, 4)], 5)
     assert got == AdmissibleSimplex((0, 1, 3, 4), (1, 2, 1))

@@ -11,7 +11,7 @@ from magnitude.graph_algebra import (
     verify_diagonal_theorem,
 )
 from magnitude.homology import AbelianGroup, MagnitudeHomology
-from magnitude.spaces import builtin_graph, icosahedral_graph, space_from_graph
+from magnitude.spaces import Graph, builtin_graph, icosahedral_graph, space_from_graph
 
 from samples import all_trees
 
@@ -37,6 +37,19 @@ def test_diagonal_quotient_examples():
     assert diagonal_quotient(builtin_graph("p3"), 2).group == AbelianGroup(4)
     assert diagonal_quotient(builtin_graph("k3"), 3).group == AbelianGroup(24)
     assert diagonal_quotient(builtin_graph("c4"), 2).group == AbelianGroup(12)
+
+
+def test_diagonal_quotient_on_digraphs():
+    # a midpoint y of a distance-2 pair (x, z) needs the edges x -> y -> z
+    graphs = (
+        Graph.directed_graph(3, [(0, 1), (1, 2)]),
+        Graph.directed_graph(3, [(0, 1), (1, 2), (2, 0)]),
+        Graph.directed_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    )
+    for g in graphs:
+        engine = MagnitudeHomology(space_from_graph(g))
+        for k in range(4):
+            assert diagonal_quotient(g, k).group == engine.cohomology(k, k), (g.edges, k)
 
 
 def test_surviving_paths_of_small_tree():

@@ -44,8 +44,8 @@ def simplicial_cohomology(facets, k):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
                 if face:
-                    entries[(index[face], c)] = (-1) ** i
-        return SparseMatrix.from_entries(len(rows), len(cols), entries)
+                    entries.setdefault(index[face], {})[c] = (-1) ** i
+        return SparseMatrix(len(rows), len(cols), entries)
 
     nk = len(by_dim.get(k, []))
     delta_k = boundary(k + 1).transpose()

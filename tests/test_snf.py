@@ -204,3 +204,46 @@ def test_repair_step_transforms_are_pinned():
         unrepaired = smith_normal_form(SparseMatrix.from_dense(dense), divisibility=False).diag
         assert unrepaired != diag
 
+
+
+def test_migrated_pivot_transforms_are_pinned():
+    # the second pivot popped here, 8 at (0, 0), migrates to 2 at (2, 2)
+    # during the gcd chase, and the popped cell, still nonzero, is pushed back
+    # as a candidate; without the push the decomposition is still valid, but
+    # VT and Vinv differ
+    dense = [
+        [8, 24, 0, -10, -24, 24],
+        [0, 12, 0, 0, -12, 12],
+        [-36, 0, 10, 0, 20, 0],
+        [0, -12, 0, 5, 12, -12],
+    ]
+    sm = verify_decomposition(SparseMatrix.from_dense(dense))
+    assert sm.diag == [1, 2, 20, 120]
+    assert sm.U.rows == {
+        0: {3: 1},
+        1: {0: 5, 2: 1, 3: 30},
+        2: {0: -41, 1: -1, 2: -8, 3: -218},
+        3: {0: -123, 1: -2, 2: -24, 3: -678},
+    }
+    assert sm.UinvT.rows == {
+        0: {0: -2, 1: 24, 2: -20, 3: 1},
+        1: {0: -8, 2: 41},
+        2: {0: 2, 1: -3, 2: -10},
+        3: {0: -1, 1: 1, 2: 5},
+    }
+    assert sm.VT.rows == {
+        0: {1: 1, 3: 5, 4: -1},
+        1: {0: -2, 2: 1},
+        2: {0: 5, 1: -2, 2: -8, 3: -12, 4: 3},
+        3: {0: -15, 1: 4, 2: 18, 3: 24, 4: -6},
+        4: {1: -1, 2: 2, 4: -1},
+        5: {1: -1, 5: 1},
+    }
+    assert sm.Vinv.rows == {
+        0: {1: -12, 3: 5, 4: 12, 5: -12},
+        1: {0: 2, 1: -120, 2: 5, 3: 50, 4: 130, 5: -120},
+        2: {0: -2, 1: 81, 2: -4, 3: -34, 4: -89, 5: 81},
+        3: {0: -1, 1: 43, 2: -2, 3: -18, 4: -47, 5: 43},
+        4: {1: -3, 3: 1, 4: 2, 5: -3},
+        5: {5: 1},
+    }
