@@ -16,12 +16,11 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import cyclic, graph_algebra, posets, series
 from .complexes import realizable_grades
 from .homology import MagnitudeHomology
-from .rationals import format_grade
+from .rationals import format_grade, parse_grade
 from .recovery import recover_space
 from .ring import RingPresentation, export_presentation
 from .spaces import (
@@ -31,7 +30,8 @@ from .spaces import (
     format_metric_csv,
     is_isometric,
     load_graph,
-    load_space,
+    parse_metric_file,
+    space_from_graph,
 )
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ EXIT_INPUT = 2
 
 @contextmanager
 def _parsing():
-    """Report a ValueError raised while reading a flag or an input file as an
+    """Report a ValueError raised while reading an input file as an
     InputError; ValueErrors of the engine itself are faults, not exit 2."""
     try:
         yield
@@ -59,13 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    """The type of --kmax and of diagonal's --lmax."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _space_from_args(args):
     with _parsing():
-        if getattr(args, "metric", None):
-            return load_space(args.metric, kind="metric")
-        if getattr(args, "graph", None):
-            return load_space(args.graph, kind="graph")
-    raise InputError("one of --graph or --metric is required")
+        if args.metric:
+            with open(args.metric) as fh:
+                return parse_metric_file(fh.read())
+        return space_from_graph(load_graph(args.graph))
 
 
 def _emit(text: str, out_path):
@@ -76,45 +83,30 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _blocks_table(space, kmax: int, lmax, side: str):
+def cmd_table(args) -> int:
+    """The homology or cohomology table, after args.command, in (l, k) order."""
+    space = _space_from_args(args)
     engine = MagnitudeHomology(space)
     rows = []
-    for l in realizable_grades(space, Fraction(lmax)):
-        top = min(kmax, engine.degree_bound(l))
-        for k in range(top + 1):
-            group = engine.homology(k, l) if side == "homology" else engine.cohomology(k, l)
-            rows.append((k, l, group.rank, list(group.torsion)))
-    rows.sort(key=lambda r: (r[1], r[0]))
-    return rows
-
-
-def _format_table(rows, fmt: str, side: str) -> str:
-    if fmt == "tsv":
+    for l in realizable_grades(space, args.lmax):
+        for k in range(min(args.kmax, engine.degree_bound(l)) + 1):
+            group = engine.homology(k, l) if args.command == "homology" else engine.cohomology(k, l)
+            rows.append((k, format_grade(l), group.rank, list(group.torsion)))
+    if args.format == "tsv":
         lines = ["k\tl\trank\ttorsion"]
         for k, l, rank_, torsion in rows:
-            lines.append(f"{k}\t{format_grade(l)}\t{rank_}\t{','.join(map(str, torsion))}")
-        return "\n".join(lines) + "\n"
-    doc = {
-        "table": side,
-        "blocks": [
-            {"k": k, "l": format_grade(l), "rank": rank_, "torsion": torsion}
-            for k, l, rank_, torsion in rows
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
-def cmd_table(args) -> int:
-    """The homology or cohomology table, after args.command."""
-    space = _space_from_args(args)
-    rows = _blocks_table(space, args.kmax, args.lmax, args.command)
-    _emit(_format_table(rows, args.format, args.command), args.out)
+            lines.append(f"{k}\t{l}\t{rank_}\t{','.join(map(str, torsion))}")
+        text = "\n".join(lines) + "\n"
+    else:
+        blocks = [{"k": k, "l": l, "rank": rank_, "torsion": torsion} for k, l, rank_, torsion in rows]
+        text = json.dumps({"table": args.command, "blocks": blocks}, indent=1, sort_keys=True) + "\n"
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_ring(args) -> int:
     space = _space_from_args(args)
-    pres = export_presentation(space, args.kmax, Fraction(args.lmax), scramble_seed=args.seed)
+    pres = export_presentation(space, args.kmax, args.lmax, scramble_seed=args.seed)
     _emit(pres.to_json(), args.out)
     return EXIT_OK
 
@@ -126,7 +118,8 @@ def cmd_recover(args) -> int:
         _emit(format_metric_csv(recover_space(RingPresentation.from_json(text))), args.out)
         return EXIT_OK
     space = _space_from_args(args)
-    lmax = Fraction(args.lmax) if args.lmax is not None else space.max_finite_distance()
+    # the default grade range is the space's, which the parser cannot know
+    lmax = space.max_finite_distance() if args.lmax is None else args.lmax
     pairs = adjacent_pairs(space)
     longest = max((p.length.value for p in pairs), default=0)
     if pairs and (args.kmax < 1 or lmax < longest):
@@ -156,93 +149,80 @@ def _report(ok: bool, doc: dict, failures) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_verify(args) -> int:
-    if args.check == "diagonal":
-        if not args.graph:
-            raise InputError("--graph is required")
-        with _parsing():
-            graph = load_graph(args.graph)
-        if args.lmax is None:
-            raise InputError("verify diagonal needs --lmax")
-        with _parsing():
-            lmax = int(args.lmax)
-        kmax = args.kmax if args.kmax is not None else min(lmax, 3)
-        theorem_ok, failures = graph_algebra.verify_diagonal_theorem(graph, kmax)
-        diagonal, witness = graph_algebra.is_diagonal(graph, lmax)
-        if not diagonal:
-            failures = failures + [f"not diagonal: {witness}"]
-        return _report(
-            theorem_ok and diagonal,
-            {
-                "check": "diagonal",
-                "graph": args.graph,
-                "lmax": lmax,
-                "kmax": kmax,
-                "diagonal_up_to_lmax": diagonal,
-                "path_algebra_theorem": theorem_ok,
-            },
-            failures,
-        )
-    if args.check == "cyclic":
-        if args.n is None or args.kmax is None:
-            raise InputError("verify cyclic needs --n and --kmax")
-        if args.n == 3 or args.n == 1:
-            # C_3 = K_3 and C_1 = K_1 are complete graphs: verify diagonally
-            graph = builtin_graph(f"k{args.n}")
-            ok, failures = graph_algebra.verify_diagonal_theorem(graph, args.kmax)
-            return _report(
-                ok,
-                {"check": "cyclic", "n": args.n, "routed": "complete-graph machinery"},
-                failures,
-            )
-        gu_ok, gu_failures = cyclic.verify_gu_basis(args.n, args.kmax)
-        pres_ok, pres_failures = cyclic.verify_presentation(args.n, args.kmax)
-        return _report(
-            gu_ok and pres_ok,
-            {
-                "check": "cyclic",
-                "n": args.n,
-                "kmax": args.kmax,
-                "gu_basis": gu_ok,
-                "presentation": pres_ok,
-            },
-            gu_failures + pres_failures,
-        )
-    if args.check == "poset":
-        if not args.poset:
-            raise InputError("verify poset needs --poset")
-        poset = _poset_from_source(args.poset)
-        kmax = args.kmax if args.kmax is not None else 3
-        ok, failures = posets.check_graded_commutativity(poset, kmax)
+def cmd_diagonal(args) -> int:
+    with _parsing():
+        graph = load_graph(args.graph)
+    # the default degree range follows --lmax, which the parser cannot read
+    kmax = min(args.lmax, 3) if args.kmax is None else args.kmax
+    theorem_ok, failures = graph_algebra.verify_diagonal_theorem(graph, kmax)
+    diagonal, witness = graph_algebra.is_diagonal(graph, args.lmax)
+    if not diagonal:
+        failures = failures + [f"not diagonal: {witness}"]
+    return _report(
+        theorem_ok and diagonal,
+        {
+            "check": "diagonal",
+            "graph": args.graph,
+            "lmax": args.lmax,
+            "kmax": kmax,
+            "diagonal_up_to_lmax": diagonal,
+            "path_algebra_theorem": theorem_ok,
+        },
+        failures,
+    )
+
+
+def cmd_cyclic(args) -> int:
+    if args.n == 3 or args.n == 1:
+        # C_3 = K_3 and C_1 = K_1 are complete graphs: verify diagonally
+        graph = builtin_graph(f"k{args.n}")
+        ok, failures = graph_algebra.verify_diagonal_theorem(graph, args.kmax)
         return _report(
             ok,
-            {"check": "poset", "poset": args.poset, "kmax": kmax, "n": poset.n},
+            {"check": "cyclic", "n": args.n, "routed": "complete-graph machinery"},
             failures,
         )
-    if args.check == "series":
-        space = _space_from_args(args)
-        if args.lmax is None:
-            raise InputError("verify series needs --lmax")
-        lmax = Fraction(args.lmax)
-        left = series.euler_series(space, lmax)
-        right = series.inversion_series(space, lmax)
-        ok = left == right
-        failures = (
-            []
-            if ok
-            else [f"euler: {left}", f"inversion: {right}"]
-        )
-        return _report(
-            ok,
-            {
-                "check": "series",
-                "lmax": format_grade(lmax),
-                "euler": left.as_pairs(),
-                "inversion": right.as_pairs(),
-            },
-            failures,
-        )
-    raise InputError(f"unknown check {args.check!r}")
+    gu_ok, gu_failures = cyclic.verify_gu_basis(args.n, args.kmax)
+    pres_ok, pres_failures = cyclic.verify_presentation(args.n, args.kmax)
+    return _report(
+        gu_ok and pres_ok,
+        {
+            "check": "cyclic",
+            "n": args.n,
+            "kmax": args.kmax,
+            "gu_basis": gu_ok,
+            "presentation": pres_ok,
+        },
+        gu_failures + pres_failures,
+    )
+
+
+def cmd_poset(args) -> int:
+    poset = _poset_from_source(args.poset)
+    ok, failures = posets.check_graded_commutativity(poset, args.kmax)
+    return _report(
+        ok,
+        {"check": "poset", "poset": args.poset, "kmax": args.kmax, "n": poset.n},
+        failures,
+    )
+
+
+def cmd_series(args) -> int:
+    space = _space_from_args(args)
+    left = series.euler_series(space, args.lmax)
+    right = series.inversion_series(space, args.lmax)
+    ok = left == right
+    failures = [] if ok else [f"euler: {left}", f"inversion: {right}"]
+    return _report(
+        ok,
+        {
+            "check": "series",
+            "lmax": format_grade(args.lmax),
+            "euler": left.as_pairs(),
+            "inversion": right.as_pairs(),
+        },
+        failures,
+    )
 
 
 def _poset_from_source(source: str):
@@ -252,9 +232,9 @@ def _poset_from_source(source: str):
     name = source.strip().lower()
     if name == "circle":
         return posets.circle_poset()
-    if name.startswith("chain") and name[5:].isdigit():
+    if name.startswith("chain") and name[5:].isdecimal():
         return posets.chain_poset(int(name[5:]))
-    if name.startswith("antichain") and name[9:].isdigit():
+    if name.startswith("antichain") and name[9:].isdecimal():
         return posets.antichain_poset(int(name[9:]))
     raise InputError(f"unknown poset {source!r}")
 
@@ -267,12 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_space_args(p, lmax_required=True):
-        p.add_argument("--graph", help="builtin name (kN, pN, cN, kPQ, petersen, "
-                       "icosahedron) or an edge-list file")
-        p.add_argument("--metric", help="metric CSV file (entries p/q, int, inf)")
-        p.add_argument("--kmax", type=int, required=lmax_required)
-        p.add_argument("--lmax", required=lmax_required)
+    def add_sources(p):
+        """The space sources, of which exactly one must be given."""
+        sources = p.add_mutually_exclusive_group(required=True)
+        sources.add_argument("--graph", help="builtin name (kN, pN, cN, kPQ, petersen, "
+                             "icosahedron) or an edge-list file")
+        sources.add_argument("--metric", help="metric CSV file (entries p/q, int, inf)")
+        return sources
+
+    def add_space_args(p):
+        add_sources(p)
+        p.add_argument("--kmax", type=nonnegative_int, required=True)
+        p.add_argument("--lmax", type=parse_grade, required=True)
         p.add_argument("--out", help="output path (default stdout)")
 
     for name in ("homology", "cohomology"):
@@ -287,24 +273,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ring)
 
     p = sub.add_parser("recover", help="reconstruct a space from a ring presentation")
-    p.add_argument("--ring", help="RingPresentation JSON file")
-    p.add_argument("--graph")
-    p.add_argument("--metric")
-    p.add_argument("--kmax", type=int, default=1)
-    p.add_argument("--lmax")
+    add_sources(p).add_argument("--ring", help="RingPresentation JSON file")
+    p.add_argument("--kmax", type=nonnegative_int, default=1)
+    p.add_argument("--lmax", type=parse_grade, help="default: the largest finite distance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("verify", help="run one of the theorem checks")
-    p.add_argument("check", choices=("diagonal", "cyclic", "poset", "series"))
-    p.add_argument("--graph")
-    p.add_argument("--metric")
-    p.add_argument("--poset")
-    p.add_argument("--n", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--lmax")
-    p.set_defaults(fn=cmd_verify)
+    checks = p.add_subparsers(dest="check", required=True)
+
+    c = checks.add_parser("diagonal", help="diagonality and the path-algebra theorem")
+    c.add_argument("--graph", required=True, help="builtin name or edge-list file")
+    c.add_argument("--lmax", type=nonnegative_int, required=True)
+    c.add_argument("--kmax", type=nonnegative_int, help="default: min(lmax, 3)")
+    c.set_defaults(fn=cmd_diagonal)
+
+    c = checks.add_parser("cyclic", help="Gu basis and presentation of the odd cycle C_n")
+    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--kmax", type=nonnegative_int, required=True)
+    c.set_defaults(fn=cmd_cyclic)
+
+    c = checks.add_parser("poset", help="graded commutativity of a poset's ring")
+    c.add_argument("--poset", required=True, help="circle, chainN, antichainN or a poset file")
+    c.add_argument("--kmax", type=nonnegative_int, default=3)
+    c.set_defaults(fn=cmd_poset)
+
+    c = checks.add_parser("series", help="Euler series against similarity-matrix inversion")
+    add_sources(c)
+    c.add_argument("--lmax", type=parse_grade, required=True)
+    c.set_defaults(fn=cmd_series)
 
     return parser
 
@@ -312,15 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag in ("kmax", "lmax"):
-            value = getattr(args, flag, None)
-            try:
-                with _parsing():
-                    negative = value is not None and Fraction(value) < 0
-            except ZeroDivisionError:
-                raise InputError(f"--{flag} has a zero denominator: {value}") from None
-            if negative:
-                raise InputError(f"--{flag} must be nonnegative, got {value}")
         return args.fn(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

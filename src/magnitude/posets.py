@@ -59,16 +59,12 @@ class FinitePoset:
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidPoset(f"cover {a} < {b} names an element outside 0..{n - 1}")
             leq[a][b] = True
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after step j, i <= k whenever a chain of covers from i
+        # to k has all its inner elements among 0..j
+        for j in range(n):
             for i in range(n):
-                for j in range(n):
-                    if leq[i][j]:
-                        for k in range(n):
-                            if leq[j][k] and not leq[i][k]:
-                                leq[i][k] = True
-                                changed = True
+                if leq[i][j]:
+                    leq[i] = [a or b for a, b in zip(leq[i], leq[j])]
         return FinitePoset(leq)
 
 

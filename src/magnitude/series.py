@@ -112,8 +112,3 @@ def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
         # entries are nonnegative, so a row empties only when N^m does
         row = {j: s for j, s in nxt.items() if s}
     return GradedSeries.from_dict(lmax, {Fraction(l, scale): c for l, c in total.items()})
-
-
-def categorification_check(space: QuasiMetricSpace, lmax) -> bool:
-    """Exact coefficientwise equality of the two series up to lmax."""
-    return euler_series(space, lmax) == inversion_series(space, lmax)

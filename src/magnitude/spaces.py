@@ -332,7 +332,7 @@ def builtin_graph(name: str) -> Graph:
         return petersen_graph()
     if name == "icosahedron":
         return icosahedral_graph()
-    if len(name) >= 2 and name[0] in "kpc" and name[1:].isdigit():
+    if len(name) >= 2 and name[0] in "kpc" and name[1:].isdecimal():
         digits = name[1:]
         if name[0] == "k":
             if len(digits) == 2 and "0" not in digits:
@@ -380,11 +380,19 @@ def parse_graph_file(text: str) -> Graph:
     return Graph.undirected(n, pairs)
 
 
+def metric_row(number: int, line: str, n: int) -> list:
+    """The n distances of line `number` of a metric file, else an InputError."""
+    cells = line.split(",")
+    if len(cells) == n:
+        with suppress(ValueError):
+            return [parse_rational(cell) for cell in cells]
+    raise InputError(f"line {number}: expected {n} comma-separated entries (p/q, integer or inf)")
+
+
 def parse_metric_file(text: str) -> QuasiMetricSpace:
     """CSV of n rows x n columns with entries 'p/q', integers, or 'inf'."""
-    return QuasiMetricSpace(
-        [[parse_rational(cell) for cell in line.split(",")] for _, line in file_lines(text)]
-    )
+    lines = list(file_lines(text))
+    return QuasiMetricSpace([metric_row(number, line, len(lines)) for number, line in lines])
 
 
 def format_metric_csv(space: QuasiMetricSpace) -> str:
@@ -402,10 +410,3 @@ def load_graph(source: str) -> Graph:
             return parse_graph_file(fh.read())
     return builtin_graph(source)
 
-
-def load_space(source: str, kind: str = "graph") -> QuasiMetricSpace:
-    """Resolve a --graph name-or-file or a --metric file into a space."""
-    if kind == "metric":
-        with open(source) as fh:
-            return parse_metric_file(fh.read())
-    return space_from_graph(load_graph(source))

@@ -257,6 +257,8 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         ["verify", "series", "--graph", "k3", "--lmax", "4"],
         ["verify", "diagonal", "--graph", "p4", "--lmax", "3"],
         ["verify", "poset", "--poset", "circle", "--kmax", "2"],
+        ["verify", "diagonal", "--graph", "k4", "--lmax", "3"],
+        ["verify", "poset", "--poset", "circle"],
     ]
     for argv in commands:
         runs = []

@@ -143,7 +143,8 @@ def test_verify_diagonal_on_a_directed_path(capsys, tmp_path):
 
 
 def test_verify_builtin_posets(capsys):
-    for name, want in (("chain3", 0), ("antichain2", 0), ("nosuch", 2)):
+    # '²' is a digit but not a decimal, so int() would refuse it
+    for name, want in (("chain3", 0), ("antichain2", 0), ("nosuch", 2), ("chain²", 2)):
         code, _, _ = run(capsys, "verify", "poset", "--poset", name)
         assert code == want, name
 
@@ -154,6 +155,7 @@ def test_verify_without_its_flags_exits_2(capsys):
         ("diagonal", "--graph", "k3"),
         ("diagonal", "--graph", "k3", "--lmax", "1/0"),
         ("cyclic", "--n", "5"),
+        ("cyclic", "--n", "5", "--kmax", "2", "--poset", "circle"),
         ("poset",),
     ):
         code, out, err = run(capsys, "verify", *argv)
@@ -162,8 +164,9 @@ def test_verify_without_its_flags_exits_2(capsys):
 
 
 def test_input_errors_exit_2(capsys, tmp_path):
-    code, _, err = run(capsys, "homology", "--graph", "nosuch", "--kmax", "1", "--lmax", "1")
-    assert code == 2 and "error" in err
+    for name in ("nosuch", "k²"):
+        code, _, err = run(capsys, "homology", "--graph", name, "--kmax", "1", "--lmax", "1")
+        assert (code, err) == (2, f"error: unknown builtin graph {name!r}\n"), name
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1,3\n1,0,1\n3,1,0\n")  # triangle inequality fails
     code, _, err = run(capsys, "homology", "--metric", str(bad), "--kmax", "1", "--lmax", "1")
@@ -193,7 +196,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 0, name
         outputs.append(out)
     assert outputs[0] == outputs[1]
-    # a malformed graph or poset line names its number and its expected form
+    # a malformed graph, poset or metric line names its number and its expected form
     for name, text, message in (
         ("fields", "3\n0 1 2\n", "line 2: expected 'u v'"),
         ("one", "3\n# note\n0\n", "line 3: expected 'u v'"),
@@ -203,11 +206,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("pair.poset", "3\n0 1\n", "line 2: expected 'a < b'"),
         ("chain.poset", "3\n0 < 1 < 2\n", "line 2: expected 'a < b'"),
         ("count.poset", "x\n", "line 1: expected 'n'"),
+        ("cell.csv", "0,1\n1,x\n", "line 2: expected 2 comma-separated entries (p/q, integer or inf)"),
+        ("short.csv", "0,1\n1\n", "line 2: expected 2 comma-separated entries (p/q, integer or inf)"),
     ):
         path = tmp_path / name
         path.write_text(text)
         if name.endswith(".poset"):
             code, out, err = run(capsys, "verify", "poset", "--poset", str(path), "--kmax", "1")
+        elif name.endswith(".csv"):
+            code, out, err = run(capsys, "homology", "--metric", str(path), "--kmax", "1", "--lmax", "1")
         else:
             code, out, err = run(capsys, "homology", "--graph", str(path), "--kmax", "1", "--lmax", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n"), name
@@ -228,6 +235,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
     code, export, _ = run(capsys, "ring", "--graph", "p3", "--kmax", "1", "--lmax", "2")
     assert code == 0
+    # space sources are exclusive, even when each alone is valid
+    two = tmp_path / "two.csv"
+    two.write_text("0,1\n1,0\n")
+    ring = tmp_path / "p3.ring.json"
+    ring.write_text(export)
+    for argv in (
+        ("homology", "--graph", "c5", "--metric", str(two), "--kmax", "1", "--lmax", "1"),
+        ("recover", "--ring", str(ring), "--graph", "c5"),
+        ("ring", "--graph", "p3", "--kmax", "1", "--lmax", "1/0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
     def drop_rank(doc):
         del doc["bidegrees"][0]["rank"]
