@@ -86,11 +86,15 @@ def boundary_matrix(
 
 def realizable_grades(space: QuasiMetricSpace, lmax) -> list:
     """All finite sums of distance values up to lmax (the additive closure of
-    the finite nonzero distance set, plus 0), sorted and duplicate-free."""
+    the finite nonzero distance set, plus 0), sorted and duplicate-free.
+    A negative lmax is a ValueError: no grade lies below it."""
+    lmax = Fraction(lmax)
+    if lmax < 0:
+        raise ValueError(f"negative truncation lmax = {lmax}")
     if space.n == 0:
         return []
     space.require_positive()
-    top = floor(Fraction(lmax) * space.den)
+    top = floor(lmax * space.den)
     values = sorted({u for row in space.steps for _, u in row})
     grades = {0}
     frontier = [0]

@@ -1,14 +1,25 @@
 """Magnitude as a truncated power series, two ways.
 
 The alternating sum sum_k (-1)^k rank MH^k_l(X) per grade l categorifies the
-magnitude; the independent oracle inverts the similarity matrix
+magnitude.  It telescopes to the alternating count of chains: with
+rho_k = rank of the coboundary out of MC^k_l, rank MH^k_l = |MC_{k,l}| -
+rho_k - rho_{k-1}, and rho_{-1} = rho_K = 0 at the degree bound K, so each
+rho enters the sum twice with opposite signs.  The Euler series therefore
+counts simplices and never builds a boundary or a Smith form.  The
+independent oracle inverts the similarity matrix
 Z_ab = q^{d(a,b)} grade-by-grade (Z = I + N with N strictly positive, so the
 Neumann series sum (-1)^j N^j converges in each truncated grade).  The
 oracle runs on its own integer grade scale, derived from the public distance
 matrix d alone: it shares no code or state with the engine's integer form.
 Both series come out over exact rational grades, so the comparison is exact
 equality, no tolerance.  Pseudo spaces are refused: a zero distance would
-put a grade-0 term into N and break convergence.
+put a grade-0 term into N and break convergence; so is a negative lmax.
+
+What the comparison checks is the engine's chain bases (enumeration and
+grading) against the distance matrix.  Ranks and torsion are checked
+elsewhere: MagnitudeHomology.uct_check, the diagonal-family oracles (among
+them test_diagonal_graphs_alternate), the Gu basis of odd cycles and the
+recorded Petersen groups of perfbench/reference.json.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
 
-from .complexes import realizable_grades
+from . import complexes
 from .homology import MagnitudeHomology
 from .rationals import format_grade
 from .spaces import QuasiMetricSpace
@@ -59,14 +70,18 @@ class GradedSeries:
 
 def euler_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     """Coefficient at l is sum_k (-1)^k rank MH^k_l; the k-sum is finite
-    because k <= l / (minimum positive distance)."""
+    because k <= l / (minimum positive distance).
+
+    By Euler-Poincare that sum equals sum_k (-1)^k |MC_{k,l}|: the coboundary
+    ranks cancel in pairs (see the module docstring), so each term is the
+    size of a chain basis, counted and dropped one block at a time."""
     lmax = Fraction(lmax)
     engine = MagnitudeHomology(space)
     coeffs = {}
-    for l in realizable_grades(space, lmax):
+    for l in complexes.realizable_grades(space, lmax):
         total = 0
         for k in range(engine.degree_bound(l) + 1):
-            total += (-1) ** k * engine.cohomology(k, l).rank
+            total += (-1) ** k * len(complexes.enumerate_simplices(space, k, l))
         if total:
             coeffs[l] = total
     return GradedSeries.from_dict(lmax, coeffs)
@@ -81,6 +96,8 @@ def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     finite denominators of the public matrix d, and the truncation is the
     floor of lmax * scale; the oracle reads nothing else of the space."""
     lmax = Fraction(lmax)
+    if lmax < 0:
+        raise ValueError(f"negative truncation lmax = {lmax}")
     space.require_positive()
     n = space.n
     finite = [

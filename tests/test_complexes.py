@@ -149,6 +149,8 @@ def test_realizable_grades():
     assert realizable_grades(space, 3) == [0, 1, half, 2, Fraction(5, 2), 3]
     one = QuasiMetricSpace([[0]])
     assert realizable_grades(one, 4) == [0]
+    with pytest.raises(ValueError, match="negative"):
+        realizable_grades(c4, -1)
     pseudo = QuasiMetricSpace([[0, 0], [0, 0]], allow_pseudo=True)
     with pytest.raises(ZeroDistance):
         realizable_grades(pseudo, 2)

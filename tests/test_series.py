@@ -1,9 +1,12 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from magnitude import complexes
 from magnitude.homology import MagnitudeHomology
+from magnitude.ring import export_presentation
 from magnitude.series import (
     GradedSeries,
     euler_series,
@@ -45,10 +48,67 @@ def test_complete_graph_closed_form():
         assert euler_series(space, 4) == series
 
 
+def rank_sum_series(space, lmax) -> GradedSeries:
+    """The Euler series summed over cohomology ranks, on euler_series' grades
+    and degree range; the degree past the range must carry no simplex, which
+    is what lets the coboundary ranks telescope away."""
+    engine = MagnitudeHomology(space)
+    coeffs = {}
+    for l in complexes.realizable_grades(space, lmax):
+        top = engine.degree_bound(l)
+        assert not complexes.enumerate_simplices(space, top + 1, l), (l, top)
+        coeffs[l] = sum((-1) ** k * engine.cohomology(k, l).rank for k in range(top + 1))
+    return GradedSeries.from_dict(lmax, coeffs)
+
+
+def seeded_spaces():
+    """Random quasi-metric spaces and digraphs, the same draws on every call."""
+    rng = random.Random(14)
+    spaces = [random_rational_space(rng, nmax=4) for _ in range(3)]
+    spaces += [space_from_graph(random_strongly_connected_digraph(rng, nmax=4)) for _ in range(2)]
+    return spaces
+
+
 def test_categorification_on_builtins():
-    for name in ("p3", "p4", "c4", "c5", "k22"):
+    cases = [(name, 4) for name in ("p3", "p4", "c4", "c5", "k22")]
+    # sizes beyond every table the engine's groups are checked on
+    cases += [("petersen", 7), ("k33", 8)]
+    for name, lmax in cases:
         space = space_from_graph(builtin_graph(name))
-        assert euler_series(space, 4) == inversion_series(space, 4), name
+        assert euler_series(space, lmax) == inversion_series(space, lmax), name
+
+
+def test_chain_counts_equal_the_rank_sum():
+    cases = [(space_from_graph(builtin_graph(name)), 4) for name in ("p3", "p4", "c4", "c5", "k22")]
+    cases.append((space_from_graph(builtin_graph("petersen")), 3))
+    cases.append((space_from_graph(Graph.directed_graph(3, [(0, 1), (1, 2), (2, 0)])), 5))
+    cases.append((space_from_graph(Graph.undirected(4, [(0, 1), (2, 3)])), 3))
+    cases += [(space, lmax) for space in seeded_spaces() for lmax in (4, Fraction(5, 2), Fraction(7, 3))]
+    for space, lmax in cases:
+        assert euler_series(space, lmax) == rank_sum_series(space, lmax), (space.n, lmax)
+
+
+def test_euler_series_builds_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Euler series built a matrix")
+
+    monkeypatch.setattr(complexes, "boundary_matrix", refuse)
+    # the package re-exports a function named homology over the module
+    monkeypatch.setattr(importlib.import_module("magnitude.homology"), "smith_normal_form", refuse)
+    c5 = space_from_graph(builtin_graph("c5"))
+    assert euler_series(c5, 4) == inversion_series(c5, 4)
+
+
+def test_negative_lmax_refused():
+    p3 = space_from_graph(builtin_graph("p3"))
+    for call in (
+        lambda: euler_series(p3, -1),
+        lambda: inversion_series(p3, -1),
+        lambda: export_presentation(p3, 1, -1),
+        lambda: inversion_series(p3, Fraction(-1, 2)),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            call()
 
 
 def test_directed_three_cycle():
@@ -58,13 +118,7 @@ def test_directed_three_cycle():
 
 def test_random_quasi_metric_spaces():
     # integer and fractional truncations
-    rng = random.Random(14)
-    for _ in range(3):
-        space = random_rational_space(rng, nmax=4)
-        for lmax in (4, Fraction(5, 2), Fraction(7, 3)):
-            assert euler_series(space, lmax) == inversion_series(space, lmax), lmax
-    for _ in range(2):
-        space = space_from_graph(random_strongly_connected_digraph(rng, nmax=4))
+    for space in seeded_spaces():
         for lmax in (4, Fraction(5, 2), Fraction(7, 3)):
             assert euler_series(space, lmax) == inversion_series(space, lmax), lmax
 
