@@ -404,3 +404,44 @@ def test_metric_input(capsys, tmp_path):
     assert code == 0
     blocks = {(b["k"], b["l"]): b["rank"] for b in json.loads(out)["blocks"]}
     assert blocks[(1, "1/2")] == 2
+
+
+def test_distance_reader_output_bytes_are_pinned(capsys, tmp_path):
+    """One sha256 of stdout per command that reads the public distances: the
+    table of a metric with inf and 1/2 entries (TSV and JSON), the recovered
+    CSV and verdict of an asymmetric metric and of K2,3, and the series check
+    of a fractional metric."""
+    files = {
+        "inf.csv": "0,1/2,1,1\ninf,0,1/2,1\ninf,inf,0,1/2\ninf,inf,inf,0\n",
+        "asym.csv": "0,1,3/2\n2,0,1/2\ninf,inf,0\n",
+        "frac.csv": "0,1/2,1\n1/2,0,1/2\n1,1/2,0\n",
+        "neg.csv": "0,-1\n1,0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = {name: str(tmp_path / name) for name in files}
+    pins = (
+        (("homology", "--metric", path["inf.csv"], "--kmax", "3", "--lmax", "2", "--format", "tsv"),
+         "61d1ddcc0fc7717f4b831b35f8023fe63ad678f56ca998849cf3360b9f018aef"),
+        (("cohomology", "--metric", path["inf.csv"], "--kmax", "3", "--lmax", "2"),
+         "58704ec1d15c4916b73bb8da7e156ece0bb5267c158f3ce8f86eaf98f67d021a"),
+        (("recover", "--metric", path["asym.csv"], "--seed", "4"),
+         "c25facfafeb65aee2a83584ebfafc0464022b534d4a17899f4cf48ed79ba73ca"),
+        (("recover", "--graph", "k23", "--seed", "2"),
+         "fceb96e703febf7d64beedddd30e62d717e882198516c1ea3bbfbf1e56a83be3"),
+        (("verify", "series", "--metric", path["frac.csv"], "--lmax", "3"),
+         "75415291c6911a96b60184b9b655b315de7d289758cad35a0a76358592f8a0e2"),
+    )
+    for argv, digest in pins:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # an infinite or undefined grade, and a negative distance
+    for argv in (
+        ("homology", "--graph", "k3", "--kmax", "1", "--lmax", "inf"),
+        ("homology", "--graph", "k3", "--kmax", "1", "--lmax", "1/0"),
+        ("homology", "--metric", path["neg.csv"], "--kmax", "1", "--lmax", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
