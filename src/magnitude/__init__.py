@@ -3,14 +3,11 @@ quasi-metric spaces, with the cohomology ring, metric recovery from the ring,
 and verified closed-form presentations for standard graph families."""
 
 from .homology import AbelianGroup, MagnitudeHomology, cohomology, homology, uct_check
-from .rationals import INF, ExtendedRational
 from .spaces import Graph, QuasiMetricSpace, space_from_graph
 
 __all__ = [
     "AbelianGroup",
-    "ExtendedRational",
     "Graph",
-    "INF",
     "MagnitudeHomology",
     "QuasiMetricSpace",
     "cohomology",

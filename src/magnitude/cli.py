@@ -121,7 +121,7 @@ def cmd_recover(args) -> int:
     # the default grade range is the space's, which the parser cannot know
     lmax = space.max_finite_distance() if args.lmax is None else args.lmax
     pairs = adjacent_pairs(space)
-    longest = max((p.length.value for p in pairs), default=0)
+    longest = max((p.length for p in pairs), default=0)
     if pairs and (args.kmax < 1 or lmax < longest):
         raise InputError(
             f"--kmax {args.kmax} --lmax {format_grade(lmax)} hides degree-one blocks the "

@@ -2,7 +2,7 @@
 
 A k-simplex is a tuple (x0,...,xk) of points with consecutive entries
 distinct; its length is the sum of consecutive distances and must be finite
-(tuples through INF gaps fall outside every finite grading block).  The
+(tuples through unreachable pairs fall outside every grading block).  The
 differential only ever drops interior points, and drops x_i exactly when
 d(x_{i-1},x_{i+1}) = d(x_{i-1},x_i) + d(x_i,x_{i+1}); in that case the face
 keeps the same length, which is why the length grading is preserved.

@@ -33,7 +33,7 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-from .rationals import INF, ExtendedRational, format_grade
+from .rationals import format_grade
 from .ring import RingPresentation, export_presentation
 from .spaces import InputError, QuasiMetricSpace, is_isometric
 
@@ -158,8 +158,8 @@ def _independent(vectors) -> list:
 
 def adjacency_weights(pres: RingPresentation, points: list) -> list:
     """Weights of all ordered pairs of points, diagonal included: [a][b] is
-    the unique grade l with e_a . MH^1_l . e_b != 0, INF if none."""
-    weights = [[INF] * len(points) for _ in points]
+    the unique grade l with e_a . MH^1_l . e_b != 0, None if none."""
+    weights = [[None] * len(points) for _ in points]
     for l in pres.grades_in_degree(1):
         bideg = (1, l)
         orders = pres.orders(bideg)
@@ -180,10 +180,10 @@ def adjacency_weights(pres: RingPresentation, points: list) -> list:
             if any(sum(map(mul, x, col)) for x in left_basis for col in free) or any(
                 sum(map(mul, x, col)) % m for x in left for col, m in torsion
             ):
-                if not weights[a][b].is_infinite:
-                    grades = f"{format_grade(weights[a][b].value)} and {format_grade(l)}"
+                if weights[a][b] is not None:
+                    grades = f"{format_grade(weights[a][b])} and {format_grade(l)}"
                     raise NonUniqueGrade(f"points {a} and {b} pair nontrivially in grades {grades}")
-                weights[a][b] = ExtendedRational(l)
+                weights[a][b] = l
     return weights
 
 
@@ -193,13 +193,15 @@ def recover_space(pres: RingPresentation) -> QuasiMetricSpace:
     n = len(points)
     dist = adjacency_weights(pres, points)
     for i in range(n):
-        dist[i][i] = ExtendedRational(0)
+        dist[i][i] = Fraction(0)
     for k in range(n):
         for i in range(n):
-            for j in range(n):
-                via = dist[i][k] + dist[k][j]
-                if via < dist[i][j]:
-                    dist[i][j] = via
+            dik = dist[i][k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(dist[k]):
+                if dkj is not None and (dist[i][j] is None or dik + dkj < dist[i][j]):
+                    dist[i][j] = dik + dkj
     return QuasiMetricSpace(dist)
 
 

@@ -95,7 +95,7 @@ def cup_cochain(engine: MagnitudeHomology, phi: Cochain, psi: Cochain) -> Cochai
         front = s[: phi.k + 1]
         lf = Fraction(0)
         for a, b in zip(front, front[1:]):
-            lf += space.d[a][b].value
+            lf += space.d[a][b]
         if lf != phi.l:
             out.append(0)
             continue

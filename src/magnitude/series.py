@@ -88,7 +88,7 @@ def euler_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
 
 
 def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
-    """Sum of the entries of Z^{-1} for Z_ab = q^{d(a,b)} (0 when d = INF),
+    """Sum of the entries of Z^{-1} for Z_ab = q^{d(a,b)} (0 when unreachable),
     truncated at lmax via the Neumann series around Z = I + N: the sum over
     m of (-1)^m 1^T N^m 1, propagating the row vector 1^T N^m.
 
@@ -101,7 +101,7 @@ def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     space.require_positive()
     n = space.n
     finite = [
-        [(j, x.value) for j, x in enumerate(space.d[i]) if j != i and not x.is_infinite]
+        [(j, x) for j, x in enumerate(space.d[i]) if j != i and x is not None]
         for i in range(n)
     ]
     scale = lcm(*(v.denominator for row in finite for _, v in row))

@@ -1,15 +1,17 @@
-"""Finite quasi-metric spaces and graphs with exact extended-rational distances.
+"""Finite quasi-metric spaces and graphs with exact rational distances.
 
-A space is a point count n together with an n x n matrix of ExtendedRational
-distances satisfying d(x,x) = 0 and the triangle inequality; symmetry is NOT
-required, INF entries mark unreachable pairs, and zero distances between
-distinct points are only permitted on explicitly constructed pseudo spaces
-(where recovery and the magnitude series are undefined).
+A space is a point count n together with an n x n matrix of distances, each
+a nonnegative Fraction or None for an unreachable pair ('inf'), satisfying
+d(x,x) = 0 and the triangle inequality; symmetry is NOT required, and zero
+distances between distinct points are only permitted on explicitly
+constructed pseudo spaces (where recovery and the magnitude series are
+undefined).
 
 Public distances and grades stay exact rationals.  Each space also keeps,
 computed once, one integer form for the engine: every distance as an integer
-over the common denominator of the finite distances, with None for INF.  A
-grade, being a sum of distances, is then an integer in the same units.
+over the common denominator of the finite distances, with None for an
+unreachable pair.  A grade, being a sum of distances, is then an integer in
+the same units.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .rationals import INF, ExtendedRational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 
 class InputError(ValueError):
@@ -78,9 +80,10 @@ class Graph:
 class QuasiMetricSpace:
     """Immutable finite space with an exact extended quasi-metric.
 
-    Besides the public matrix ``d``, a space keeps the one distance form the
+    The public matrix ``d`` holds a Fraction per pair, or None where the
+    pair is unreachable.  Besides it, a space keeps the one distance form the
     engine reads: ``units[x][y]``, the distance in units of ``1/den`` (``den``
-    is the lcm of the finite denominators) or None for INF; ``steps[x]``, the
+    is the lcm of the finite denominators) or None; ``steps[x]``, the
     pairs (y, units) of the finite out-steps of x in index order; and
     ``min_step``, the least of those units (None when there is none).
     """
@@ -88,19 +91,19 @@ class QuasiMetricSpace:
     __slots__ = ("n", "d", "positive_min", "den", "units", "steps", "min_step")
 
     def __init__(self, d: Sequence[Sequence], allow_pseudo: bool = False):
+        # An entry that already is a Fraction is kept, so that spaces built
+        # from shared distance objects share them here too.
         matrix = tuple(
-            tuple(x if isinstance(x, ExtendedRational) else ExtendedRational(x) for x in row)
-            for row in d
+            tuple(_distance(i, j, x) for j, x in enumerate(row)) for i, row in enumerate(d)
         )
         n = len(matrix)
         for row in matrix:
             if len(row) != n:
                 raise InvalidSpace("distance matrix must be square")
-        values = [[None if x.is_infinite else x.value for x in row] for row in matrix]
-        den = lcm(*(v.denominator for row in values for v in row if v is not None))
+        den = lcm(*(v.denominator for row in matrix for v in row if v is not None))
         units = tuple(
             tuple(None if v is None else v.numerator * (den // v.denominator) for v in row)
-            for row in values
+            for row in matrix
         )
         for i in range(n):
             if units[i][i] != 0:
@@ -117,7 +120,8 @@ class QuasiMetricSpace:
                         raise ZeroDistance(i, j)
                     positive = False
         # Exhaustive triangle inequality over finite pairs: a pair through an
-        # INF step bounds nothing, and d(i,k) = INF fails any finite bound.
+        # unreachable step bounds nothing, and an unreachable d(i,k) fails
+        # any finite bound.
         for i in range(n):
             row = units[i]
             for j, dij in steps[i]:
@@ -167,6 +171,19 @@ class QuasiMetricSpace:
         return Fraction(max((u for row in self.steps for _, u in row), default=0), self.den)
 
 
+def _distance(i: int, j: int, x) -> Fraction | None:
+    """Entry d(i,j) as a Fraction (kept as is if it is one), or None."""
+    if x is None:
+        return None
+    if type(x) is not Fraction:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InvalidSpace(f"d({i},{j}) = {x!r} is not an int, a Fraction or None")
+        x = Fraction(x)
+    if x.numerator < 0:
+        raise InvalidSpace(f"d({i},{j}) = {x} is negative")
+    return x
+
+
 @dataclass(frozen=True)
 class AdjacentPair:
     """Ordered pair (x, y) with d(x, y) nonzero, finite, and not refinable:
@@ -174,18 +191,18 @@ class AdjacentPair:
 
     x: int
     y: int
-    length: ExtendedRational
+    length: Fraction
 
 
 def space_from_graph(g: Graph) -> QuasiMetricSpace:
-    """Shortest-path metric of a graph; unreachable pairs get INF."""
+    """Shortest-path metric of a graph; unreachable pairs get None."""
     n = g.n
     adj = [[] for _ in range(n)]
     for (u, v) in g.edges:
         adj[u].append(v)
     # one distance object per BFS level, shared by every pair at that level
-    levels = [ExtendedRational(level) for level in range(n)]
-    dist = [[INF] * n for _ in range(n)]
+    levels = [Fraction(level) for level in range(n)]
+    dist = [[None] * n for _ in range(n)]
     for s in range(n):
         dist[s][s] = levels[0]
         frontier = [s]
@@ -206,16 +223,17 @@ def space_from_graph(g: Graph) -> QuasiMetricSpace:
 
 def adjacent_pairs(space: QuasiMetricSpace) -> list:
     """All ordered adjacent pairs of the space, sorted by (x, y)."""
+    d = space.d
     out = []
     for x in range(space.n):
         for y in range(space.n):
             if x == y:
                 continue
-            dxy = space.d[x][y]
-            if dxy.is_zero or dxy.is_infinite:
+            dxy = d[x][y]
+            if not dxy:  # zero or unreachable
                 continue
             if all(
-                space.d[x][a] + space.d[a][y] != dxy
+                d[x][a] is None or d[a][y] is None or d[x][a] + d[a][y] != dxy
                 for a in range(space.n)
                 if a != x and a != y
             ):
@@ -224,9 +242,11 @@ def adjacent_pairs(space: QuasiMetricSpace) -> list:
 
 
 def _signature(space: QuasiMetricSpace, x: int):
-    row = sorted(space.d[x][j] for j in range(space.n) if j != x)
-    col = sorted(space.d[j][x] for j in range(space.n) if j != x)
-    return tuple(row), tuple(col)
+    """The sorted distances out of and into x, each with the unreachable
+    ones counted after the finite ones."""
+    row = sorted(space.d[x][j] for j in range(space.n) if j != x and space.d[x][j] is not None)
+    col = sorted(space.d[j][x] for j in range(space.n) if j != x and space.d[j][x] is not None)
+    return tuple(row), space.n - 1 - len(row), tuple(col), space.n - 1 - len(col)
 
 
 def is_isometric(a: QuasiMetricSpace, b: QuasiMetricSpace) -> bool:

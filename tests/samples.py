@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from magnitude.posets import FinitePoset
-from magnitude.rationals import ExtendedRational
 from magnitude.spaces import Graph, QuasiMetricSpace, is_isometric, space_from_graph
 
 BUILTIN_NAMES = [
@@ -47,13 +46,11 @@ def random_rational_space(rng, nmax=5) -> QuasiMetricSpace:
     closure of random entries keeps the minimum at least 1, so degree bounds
     stay small while grades are genuinely fractional."""
     n = rng.randrange(2, nmax + 1)
-    d = [[ExtendedRational(0)] * n for _ in range(n)]
+    d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j:
-                d[i][j] = ExtendedRational(
-                    Fraction(rng.randrange(3, 13), rng.choice((1, 2, 3)))
-                )
+                d[i][j] = Fraction(rng.randrange(3, 13), rng.choice((1, 2, 3)))
     for k in range(n):
         for i in range(n):
             for j in range(n):

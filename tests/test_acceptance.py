@@ -74,7 +74,7 @@ def test_criterion_02_degree_zero_one_structure():
         assert engine.cohomology(0, 0) == AbelianGroup(space.n), name
         by_grade = {}
         for pair in adjacent_pairs(space):
-            by_grade.setdefault(pair.length.value, []).append(pair)
+            by_grade.setdefault(pair.length, []).append(pair)
         lmax = min(space.max_finite_distance(), Fraction(5))
         for l in realizable_grades(space, lmax):
             if l > 0:
@@ -141,9 +141,9 @@ def test_criterion_05_noncommutativity_witness():
     for name, space in builtin_spaces():
         engine = MagnitudeHomology(space)
         x, y = sorted((p.x, p.y) for p in adjacent_pairs(space))[0]
-        l = space.d[x][y].value + space.d[y][x].value
-        a_xy = class_of(engine, indicator_cochain(engine, (x, y), space.d[x][y].value))
-        a_yx = class_of(engine, indicator_cochain(engine, (y, x), space.d[y][x].value))
+        l = space.d[x][y] + space.d[y][x]
+        a_xy = class_of(engine, indicator_cochain(engine, (x, y), space.d[x][y]))
+        a_yx = class_of(engine, indicator_cochain(engine, (y, x), space.d[y][x]))
         chain = [0] * len(engine.simplices(2, l))
         chain[engine.index(2, l)[(x, y, x)]] = 1
         z = cycle_class_of(engine, chain, 2, l)

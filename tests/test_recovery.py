@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from magnitude.homology import MagnitudeHomology
-from magnitude.rationals import INF, ExtendedRational
 from magnitude.recovery import (
     NonUniqueGrade,
     NotSplit,
@@ -144,20 +143,20 @@ def test_idempotents_of_z2_in_funny_basis():
 
 def test_c5_distance_two_pairs_are_inf_at_weight_stage():
     # no graph pair at distance >= 2 is adjacent (a geodesic midpoint always
-    # witnesses d(x,z) = d(x,y) + d(y,z)), so the weight stage yields INF
+    # witnesses d(x,z) = d(x,y) + d(y,z)), so the weight stage yields None
     # and the distance 2 only appears after the shortest-path closure
     c5 = space_from_graph(builtin_graph("c5"))
     pres = export_presentation(c5, 1, 2)
     idem = primitive_idempotents(pres)
     matrix = adjacency_weights(pres, idem)
     weights = [matrix[a][b] for a in range(5) for b in range(5) if a != b]
-    assert sum(1 for w in weights if w == ExtendedRational(1)) == 10
-    assert sum(1 for w in weights if w.is_infinite) == 10
+    assert sum(1 for w in weights if w == 1) == 10
+    assert sum(1 for w in weights if w is None) == 10
     # a 1-simplex has two distinct endpoints, so no point pairs with itself
-    assert all(matrix[a][a].is_infinite for a in range(5))
+    assert all(matrix[a][a] is None for a in range(5))
     recovered = recover_space(pres)
     dists = sorted(
-        recovered.d[i][j].value for i in range(5) for j in range(5) if i != j
+        recovered.d[i][j] for i in range(5) for j in range(5) if i != j
     )
     assert dists == [1] * 10 + [2] * 10
 
@@ -206,15 +205,15 @@ def test_not_split_refinement_stays_within_n_atoms(monkeypatch):
 def test_adjacency_weights_edge_and_path():
     edge = space_from_graph(builtin_graph("p2"))
     pres = export_presentation(edge, 1, 1)
-    assert adjacency_weights(pres, primitive_idempotents(pres))[0][1] == ExtendedRational(1)
+    assert adjacency_weights(pres, primitive_idempotents(pres))[0][1] == 1
 
     p3 = space_from_graph(builtin_graph("p3"))
     pres = export_presentation(p3, 1, 2)
     matrix = adjacency_weights(pres, primitive_idempotents(pres))
-    weights = sorted(matrix[a][b] for a in range(3) for b in range(3) if a != b)
-    # 4 oriented edges at weight 1; the endpoints pair is INF at this stage
-    assert weights[:4] == [ExtendedRational(1)] * 4
-    assert weights[4].is_infinite and weights[5].is_infinite
+    weights = [matrix[a][b] for a in range(3) for b in range(3) if a != b]
+    # 4 oriented edges at weight 1; the endpoints pair is None at this stage
+    assert sorted(w for w in weights if w is not None) == [1] * 4
+    assert weights.count(None) == 2
 
 
 def test_non_unique_grade_rejected():
@@ -263,7 +262,7 @@ def _assert_matches_pairwise(pres):
         for b, f in enumerate(idem):
             found = _pairwise_grades(pres, e, f)
             assert len(found) <= 1
-            assert matrix[a][b] == (ExtendedRational(found[0]) if found else INF)
+            assert matrix[a][b] == (found[0] if found else None)
 
 
 def test_weight_matrix_matches_pairwise_reference():
@@ -295,8 +294,8 @@ def test_weight_matrix_reduces_torsion():
     idem = primitive_idempotents(pres)
     e0, e1 = (next(a for a, e in enumerate(idem) if e == c) for c in ((1, 0), (0, 1)))
     matrix = adjacency_weights(pres, idem)
-    assert matrix[e0][e1] == matrix[e1][e0] == ExtendedRational(1)
-    assert matrix[e0][e0].is_infinite and matrix[e1][e1].is_infinite
+    assert matrix[e0][e1] == matrix[e1][e0] == 1
+    assert matrix[e0][e0] is None and matrix[e1][e1] is None
 
 
 @pytest.mark.parametrize(
@@ -321,8 +320,8 @@ def test_pair_test_on_rationally_dependent_left_images(right, adjacent):
     pres = RingPresentation([B00, l1], {B00: 2, l1: 2}, {B00: (), l1: (2,)}, (1, 1), table)
     _assert_matches_pairwise(pres)
     matrix = adjacency_weights(pres, [(1, 0), (0, 1)])
-    assert matrix[0][1] == (ExtendedRational(1) if adjacent else INF)
-    assert [matrix[0][0], matrix[1][0], matrix[1][1]] == [INF] * 3
+    assert matrix[0][1] == (1 if adjacent else None)
+    assert [matrix[0][0], matrix[1][0], matrix[1][1]] == [None] * 3
 
 
 def test_pair_test_keeps_the_only_torsion_witness():
@@ -330,7 +329,7 @@ def test_pair_test_keeps_the_only_torsion_witness():
     # of its left images, (2, 0, 0) and (0, 2, 0), is even on the column
     pres = _torsion_presentation()
     _assert_matches_pairwise(pres)
-    assert adjacency_weights(pres, [(1,)]) == [[ExtendedRational(1)]]
+    assert adjacency_weights(pres, [(1,)]) == [[1]]
 
 
 def test_weight_matrix_mult_calls(monkeypatch):
@@ -351,7 +350,7 @@ def test_recover_p3_two_hop_distance():
     recovered = recover_space(pres)
     assert is_isometric(p3, recovered)
     dists = sorted(
-        recovered.d[i][j].value
+        recovered.d[i][j]
         for i in range(3)
         for j in range(3)
         if i != j
@@ -367,7 +366,7 @@ def test_recover_disconnected():
         1
         for i in range(4)
         for j in range(4)
-        if i != j and recovered.d[i][j].is_infinite
+        if i != j and recovered.d[i][j] is None
     )
     assert inf_count == 8
 

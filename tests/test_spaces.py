@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from magnitude.rationals import INF, ExtendedRational
 from magnitude.spaces import (
     AdjacentPair,
     Graph,
+    InputError,
     InvalidSpace,
     QuasiMetricSpace,
     ZeroDistance,
@@ -24,31 +24,33 @@ from samples import random_connected_graph, random_rational_space, random_strong
 
 def floyd_warshall(n, weight):
     """Independent oracle for shortest paths."""
-    d = [[INF] * n for _ in range(n)]
+    d = [[None] * n for _ in range(n)]
     for i in range(n):
-        d[i][i] = ExtendedRational(0)
+        d[i][i] = Fraction(0)
     for (u, v), w in weight.items():
-        if ExtendedRational(w) < d[u][v]:
-            d[u][v] = ExtendedRational(w)
+        if d[u][v] is None or w < d[u][v]:
+            d[u][v] = Fraction(w)
     for k in range(n):
         for i in range(n):
             for j in range(n):
+                if d[i][k] is None or d[k][j] is None:
+                    continue
                 via = d[i][k] + d[k][j]
-                if via < d[i][j]:
+                if d[i][j] is None or via < d[i][j]:
                     d[i][j] = via
     return d
 
 
 def test_space_from_path_graph():
     s = space_from_graph(builtin_graph("p3"))
-    assert s.d[0][2] == ExtendedRational(2)
-    assert s.d[0][1] == ExtendedRational(1)
+    assert s.d[0][2] == 2
+    assert s.d[0][1] == 1
 
 
 def test_disconnected_components_get_inf():
     s = space_from_graph(Graph.undirected(4, [(0, 1), (2, 3)]))
-    assert s.d[0][2].is_infinite
-    assert s.d[3][1].is_infinite
+    assert s.d[0][2] is None
+    assert s.d[3][1] is None
 
 
 def test_directed_three_cycle_against_floyd_warshall():
@@ -56,8 +58,8 @@ def test_directed_three_cycle_against_floyd_warshall():
     s = space_from_graph(g)
     oracle = floyd_warshall(3, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
     assert [list(row) for row in s.d] == oracle
-    assert s.d[0][1] == ExtendedRational(1)
-    assert s.d[1][0] == ExtendedRational(2)
+    assert s.d[0][1] == 1
+    assert s.d[1][0] == 2
 
 
 def test_shortest_path_metric_satisfies_triangle_inequality():
@@ -75,8 +77,8 @@ def test_adjacent_pairs_single_edge():
     s = space_from_graph(builtin_graph("p2"))
     pairs = adjacent_pairs(s)
     assert pairs == [
-        AdjacentPair(0, 1, ExtendedRational(1)),
-        AdjacentPair(1, 0, ExtendedRational(1)),
+        AdjacentPair(0, 1, Fraction(1)),
+        AdjacentPair(1, 0, Fraction(1)),
     ]
 
 
@@ -84,7 +86,7 @@ def test_adjacent_pairs_path_midpoint_witness():
     s = space_from_graph(builtin_graph("p3"))
     pairs = adjacent_pairs(s)
     assert len(pairs) == 4
-    assert all(p.length == ExtendedRational(1) for p in pairs)
+    assert all(p.length == 1 for p in pairs)
     assert not any((p.x, p.y) == (0, 2) for p in pairs)
 
 
@@ -95,11 +97,12 @@ def brute_force_adjacent(space):
             if x == y:
                 continue
             d = space.d[x][y]
-            if d.is_zero or d.is_infinite:
+            if d is None or d == 0:
                 continue
             witness = False
             for a in range(space.n):
-                if a != x and a != y and space.d[x][a] + space.d[a][y] == d:
+                via = (space.d[x][a], space.d[a][y])
+                if a != x and a != y and None not in via and sum(via) == d:
                     witness = True
             if not witness:
                 out.append((x, y, d))
@@ -113,7 +116,7 @@ def test_adjacent_pairs_c5_brute_force():
     assert [(p.x, p.y, p.length) for p in pairs] == oracle
     # every distance-2 pair has a geodesic midpoint, so only edges survive
     assert len(pairs) == 10
-    assert all(p.length == ExtendedRational(1) for p in pairs)
+    assert all(p.length == 1 for p in pairs)
 
 
 def test_adjacency_is_edge_recognition_on_graphs():
@@ -121,9 +124,9 @@ def test_adjacency_is_edge_recognition_on_graphs():
     for _ in range(20):
         g = random_connected_graph(rng)
         s = space_from_graph(g)
-        got = {(p.x, p.y) for p in adjacent_pairs(s) if p.length == ExtendedRational(1)}
+        got = {(p.x, p.y) for p in adjacent_pairs(s) if p.length == 1}
         assert got == set(g.edges)
-        assert all(p.length == ExtendedRational(1) for p in adjacent_pairs(s))
+        assert all(p.length == 1 for p in adjacent_pairs(s))
 
 
 def test_adjacency_on_quasi_metrics_matches_brute_force():
@@ -174,7 +177,7 @@ def test_invalid_matrices_rejected():
     with pytest.raises(InvalidSpace):
         QuasiMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])  # triangle fails
     with pytest.raises(InvalidSpace, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
-        QuasiMetricSpace([[0, 1, INF], [1, 0, 1], [1, 1, 0]])  # INF above a finite path
+        QuasiMetricSpace([[0, 1, None], [1, 0, 1], [1, 1, 0]])  # unreachable above a finite path
     half, third = Fraction(1, 2), Fraction(1, 3)
     with pytest.raises(InvalidSpace, match=r"d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
         QuasiMetricSpace([[0, half, 1], [half, 0, third], [1, third, 0]])  # 1 > 1/2 + 1/3
@@ -183,8 +186,8 @@ def test_invalid_matrices_rejected():
 def test_directed_graph_asymmetry_allowed():
     g = Graph.directed_graph(2, [(0, 1)])
     s = space_from_graph(g)
-    assert s.d[0][1] == ExtendedRational(1)
-    assert s.d[1][0].is_infinite
+    assert s.d[0][1] == 1
+    assert s.d[1][0] is None
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -202,7 +205,7 @@ def test_metric_csv_roundtrip():
     assert parse_metric_file(text) == s
     inf_text = "0,inf\ninf,0\n"
     t = parse_metric_file(inf_text)
-    assert t.d[0][1].is_infinite
+    assert t.d[0][1] is None
     assert format_metric_csv(t) == inf_text
 
 
@@ -221,4 +224,41 @@ def test_strongly_connected_digraphs_are_finite_everywhere():
     rng = random.Random(7)
     for _ in range(10):
         s = space_from_graph(random_strongly_connected_digraph(rng))
-        assert all(not s.d[i][j].is_infinite for i in range(s.n) for j in range(s.n))
+        assert all(s.d[i][j] is not None for i in range(s.n) for j in range(s.n))
+
+
+def test_float_and_bool_entries_rejected():
+    for entry in (0.1, 1.0, True):
+        with pytest.raises(InvalidSpace, match=r"d\(0,1\) = "):
+            QuasiMetricSpace([[0, entry], [1, 0]])
+    # metric files are text, and the text 0.1 is exactly 1/10
+    s = parse_metric_file("0,0.1\n0.1,0\n")
+    assert s.d[0][1] == Fraction(1, 10) and s.den == 10
+
+
+def test_negative_entry_is_input_error():
+    for entry in (-1, Fraction(-1, 3)):
+        with pytest.raises(InvalidSpace, match=r"d\(0,1\) = -1(/3)? is negative"):
+            QuasiMetricSpace([[0, entry], [1, 0]])
+    assert issubclass(InvalidSpace, InputError)
+    with pytest.raises(InputError, match="line 1: expected 2 comma-separated entries"):
+        parse_metric_file("0,-1\n1,0\n")
+
+
+def test_space_equality_does_not_depend_on_entry_type():
+    for ints, text in (
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], "0,1,2\n1,0,1\n2,1,0\n"),
+        ([[0, 1, None], [None, 0, None], [None, 2, 0]], "0,1,inf\ninf,0,inf\ninf,2,0\n"),
+    ):
+        fractions = [[x if x is None else Fraction(x) for x in row] for row in ints]
+        spaces = [QuasiMetricSpace(ints), QuasiMetricSpace(fractions), parse_metric_file(text)]
+        for s in spaces:
+            assert s == spaces[0] and hash(s) == hash(spaces[0])
+            assert all(x is None or type(x) is Fraction for row in s.d for x in row)
+
+
+def test_fraction_entries_are_kept_as_they_are():
+    s = space_from_graph(builtin_graph("c5"))
+    assert len({id(x) for row in s.d for x in row}) == 3  # one object per BFS level
+    t = QuasiMetricSpace(s.d)
+    assert all(x is y for a, b in zip(s.d, t.d) for x, y in zip(a, b))
