@@ -33,7 +33,7 @@ def parse_grade(text: str) -> Fraction:
     """Parse a finite grade; grades of chain blocks are never infinite."""
     x = parse_rational(text)
     if x is None:
-        raise ValueError("a grade must be finite")
+        raise ValueError("infinite distance has no finite value")
     return x
 
 

@@ -445,3 +445,16 @@ def test_distance_reader_output_bytes_are_pinned(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+    # the grade of a presentation's bidegree: each refusal keeps its text
+    code, ring, _ = run(capsys, "ring", "--graph", "p2", "--kmax", "1", "--lmax", "1")
+    doc = json.loads(ring)
+    assert code == 0 and doc["bidegrees"][1]["l"] == "1"
+    for grade, message in (
+        ("inf", "infinite distance has no finite value"),
+        ("-1", "distances must be nonnegative, got -1"),
+        ("1/0", "zero denominator in '1/0'"),
+    ):
+        doc["bidegrees"][1]["l"] = grade
+        (tmp_path / "bad.ring.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "recover", "--ring", str(tmp_path / "bad.ring.json"))
+        assert (code, out, err) == (2, "", f"error: bidegree entry 1: {message}\n"), grade

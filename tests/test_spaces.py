@@ -145,6 +145,10 @@ def test_is_isometric_basics():
     relabeled = space_from_graph(Graph.undirected(5, [(1, 3), (3, 0), (0, 4), (4, 2), (2, 1)]))
     assert is_isometric(c5, relabeled)
     assert not is_isometric(p3, space_from_graph(builtin_graph("p4")))
+    # unreachable pairs: a directed path, relabelled, and a directed star
+    path = space_from_graph(Graph.directed_graph(3, [(0, 1), (1, 2)]))
+    assert is_isometric(path, space_from_graph(Graph.directed_graph(3, [(2, 0), (0, 1)])))
+    assert not is_isometric(path, space_from_graph(Graph.directed_graph(3, [(0, 1), (0, 2)])))
 
 
 def test_is_isometric_is_an_equivalence():
