@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from fractions import Fraction
 
 from . import cyclic, graph_algebra, posets, series
 from .complexes import realizable_grades
@@ -61,10 +62,18 @@ class _Parser(argparse.ArgumentParser):
 
 def nonnegative_int(text: str) -> int:
     """The type of --kmax and of diagonal's --lmax."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
+    with suppress(ValueError):
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
+def grade(text: str) -> Fraction:
+    """The type of every other --lmax: a refusal names parse_grade's reason."""
+    try:
+        return parse_grade(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _space_from_args(args):
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_space_args(p):
         add_sources(p)
         p.add_argument("--kmax", type=nonnegative_int, required=True)
-        p.add_argument("--lmax", type=parse_grade, required=True)
+        p.add_argument("--lmax", type=grade, required=True)
         p.add_argument("--out", help="output path (default stdout)")
 
     for name in ("homology", "cohomology"):
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="reconstruct a space from a ring presentation")
     add_sources(p).add_argument("--ring", help="RingPresentation JSON file")
     p.add_argument("--kmax", type=nonnegative_int, default=1)
-    p.add_argument("--lmax", type=parse_grade, help="default: the largest finite distance")
+    p.add_argument("--lmax", type=grade, help="default: the largest finite distance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_recover)
@@ -301,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = checks.add_parser("series", help="Euler series against similarity-matrix inversion")
     add_sources(c)
-    c.add_argument("--lmax", type=parse_grade, required=True)
+    c.add_argument("--lmax", type=grade, required=True)
     c.set_defaults(fn=cmd_series)
 
     return parser

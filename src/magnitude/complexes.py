@@ -6,6 +6,9 @@ distinct; its length is the sum of consecutive distances and must be finite
 differential only ever drops interior points, and drops x_i exactly when
 d(x_{i-1},x_{i+1}) = d(x_{i-1},x_i) + d(x_i,x_{i+1}); in that case the face
 keeps the same length, which is why the length grading is preserved.
+Distinct points are at positive distance (the space's constructor refuses a
+zero), so a k-simplex is at least k least steps long, and x_{i-1} = x_{i+1}
+never passes the face test: d(a,a) = 0 < d(a,b) + d(b,a).
 
 Bases are enumerated in lexicographic order by depth-first extension with
 remaining-length pruning, so every downstream matrix is reproducible
@@ -29,10 +32,8 @@ def enumerate_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> list:
     if k == 0:
         return [(x,) for x in range(space.n)] if l == 0 else []
     budget = space.grade_units(l)
-    # every step costs at least the least step, for budget pruning; zero
-    # steps (pseudo spaces) make that bound 0
-    least = space.min_step or 0
-    if budget is None or budget < k * least:
+    least = space.min_step  # every step costs at least this, for budget pruning
+    if budget is None or least is None or budget < k * least:
         return []
     steps = space.steps
     out = []
@@ -68,17 +69,15 @@ def boundary_matrix(
 
     Column j is the boundary of the simplex domain[j]: the sum over interior
     indices i = 1..k-1 only of (-1)^i times the face dropping x_i, kept when
-    d(x_{i-1},x_{i+1}) = d(x_{i-1},x_i) + d(x_i,x_{i+1}); a face whose dropped
-    point merges two equal neighbours is degenerate and contributes nothing
-    (possible only on pseudo spaces).  The faces of one simplex are distinct
-    tuples, so every entry is a single sign.
+    d(x_{i-1},x_{i+1}) = d(x_{i-1},x_i) + d(x_i,x_{i+1}).  The faces of one
+    simplex are distinct tuples, so every entry is a single sign.
     """
     units = space.units
     rows = {}
     for col, simplex in enumerate(domain):
         for i in range(1, k):
             a, b, c = simplex[i - 1], simplex[i], simplex[i + 1]
-            if a != c and units[a][c] == units[a][b] + units[b][c]:
+            if units[a][c] == units[a][b] + units[b][c]:
                 face = simplex[:i] + simplex[i + 1 :]
                 rows.setdefault(codomain_index[face], {})[col] = -1 if i & 1 else 1
     return SparseMatrix(len(codomain_index), len(domain), rows)
@@ -86,14 +85,14 @@ def boundary_matrix(
 
 def realizable_grades(space: QuasiMetricSpace, lmax) -> list:
     """All finite sums of distance values up to lmax (the additive closure of
-    the finite nonzero distance set, plus 0), sorted and duplicate-free.
+    the finite distances between distinct points, plus 0), sorted and
+    duplicate-free.
     A negative lmax is a ValueError: no grade lies below it."""
     lmax = Fraction(lmax)
     if lmax < 0:
         raise ValueError(f"negative truncation lmax = {lmax}")
     if space.n == 0:
         return []
-    space.require_positive()
     top = floor(lmax * space.den)
     values = sorted({u for row in space.steps for _, u in row})
     grades = {0}

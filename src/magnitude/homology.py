@@ -295,16 +295,12 @@ class MagnitudeHomology:
         return self.slice(l).uct_check(k)
 
     def degree_bound(self, l) -> int:
-        """Largest degree that can carry simplices in grade l (positive-min
-        spaces only; k <= l / min positive distance)."""
-        l = Fraction(l)
+        """Largest degree that can carry simplices in grade l: k <= l / the
+        least distance between distinct points (0 when no pair is finite)."""
         space = self.space
-        if space.n <= 1 or l == 0:
-            return 0
-        space.require_positive()
         if space.min_step is None:
             return 0
-        return int(l * space.den / space.min_step)
+        return int(Fraction(l) * space.den / space.min_step)
 
 
 def homology(space: QuasiMetricSpace, k: int, l) -> AbelianGroup:

@@ -20,6 +20,8 @@ def parse_rational(text: str) -> Fraction | None:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"expected p/q, an integer or inf, got {text!r}") from None
     if value < 0:
         raise ValueError(f"distances must be nonnegative, got {value}")
     return value

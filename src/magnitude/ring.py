@@ -395,12 +395,11 @@ def export_presentation(
 
     With a scramble seed, each bidegree's free generators undergo an
     independent random unimodular change of basis so the export carries no
-    residue of the simplex bases.  Pseudo spaces are refused (ZeroDistance).
-    Each scrambled basis class is lifted once (representative).  Each
-    bidegree is resolved once, to its quotient and one sparse map composing
-    the quotient's class coordinates with T^-1; the unit and every product
-    are read through that map, so a product is the cup, the kernel test, one
-    matvec and the torsion reduction.
+    residue of the simplex bases.  Each scrambled basis class is lifted
+    once (representative).  Each bidegree is resolved once, to its quotient
+    and one sparse map composing the quotient's class coordinates with
+    T^-1; the unit and every product are read through that map, so a product
+    is the cup, the kernel test, one matvec and the torsion reduction.
     """
     lmax = Fraction(lmax)
     if space.n == 0:

@@ -12,8 +12,8 @@ Neumann series sum (-1)^j N^j converges in each truncated grade).  The
 oracle runs on its own integer grade scale, derived from the public distance
 matrix d alone: it shares no code or state with the engine's integer form.
 Both series come out over exact rational grades, so the comparison is exact
-equality, no tolerance.  Pseudo spaces are refused: a zero distance would
-put a grade-0 term into N and break convergence; so is a negative lmax.
+equality, no tolerance.  N has no grade-0 term, because a space's distinct
+points are at positive distance; a negative lmax is refused.
 
 What the comparison checks is the engine's chain bases (enumeration and
 grading) against the distance matrix.  Ranks and torsion are checked
@@ -94,11 +94,10 @@ def inversion_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
 
     Grades are integers in units of 1/scale, scale being the lcm of the
     finite denominators of the public matrix d, and the truncation is the
-    floor of lmax * scale; the oracle reads nothing else of the space."""
+    floor of lmax * scale; the oracle reads only space.n and space.d."""
     lmax = Fraction(lmax)
     if lmax < 0:
         raise ValueError(f"negative truncation lmax = {lmax}")
-    space.require_positive()
     n = space.n
     finite = [
         [(j, x) for j, x in enumerate(space.d[i]) if j != i and x is not None]

@@ -2,10 +2,9 @@
 
 A space is a point count n together with an n x n matrix of distances, each
 a nonnegative Fraction or None for an unreachable pair ('inf'), satisfying
-d(x,x) = 0 and the triangle inequality; symmetry is NOT required, and zero
-distances between distinct points are only permitted on explicitly
-constructed pseudo spaces (where recovery and the magnitude series are
-undefined).
+d(x,x) = 0, d(x,y) != 0 for x != y, and the triangle inequality; symmetry is
+NOT required.  The constructor checks all three, so every other module may
+rely on distinct points being at positive distance.
 
 Public distances and grades stay exact rationals.  Each space also keeps,
 computed once, one integer form for the engine: every distance as an integer
@@ -33,11 +32,10 @@ class InputError(ValueError):
 
 
 class ZeroDistance(InputError):
-    """Two distinct points at distance zero: a pseudo space."""
+    """Two distinct points at distance zero, which no space allows."""
 
     def __init__(self, x: int, y: int):
         super().__init__(f"distinct points {x}, {y} are at distance 0")
-        self.pair = (x, y)
 
 
 class InvalidSpace(InputError):
@@ -85,12 +83,13 @@ class QuasiMetricSpace:
     engine reads: ``units[x][y]``, the distance in units of ``1/den`` (``den``
     is the lcm of the finite denominators) or None; ``steps[x]``, the
     pairs (y, units) of the finite out-steps of x in index order; and
-    ``min_step``, the least of those units (None when there is none).
+    ``min_step``, the least of those units, which is positive (None when
+    there is none).
     """
 
-    __slots__ = ("n", "d", "positive_min", "den", "units", "steps", "min_step")
+    __slots__ = ("n", "d", "den", "units", "steps", "min_step")
 
-    def __init__(self, d: Sequence[Sequence], allow_pseudo: bool = False):
+    def __init__(self, d: Sequence[Sequence]):
         # An entry that already is a Fraction is kept, so that spaces built
         # from shared distance objects share them here too.
         matrix = tuple(
@@ -112,13 +111,10 @@ class QuasiMetricSpace:
             tuple((j, u) for j, u in enumerate(row) if j != i and u is not None)
             for i, row in enumerate(units)
         )
-        positive = True
         for i in range(n):
             for j, u in steps[i]:
                 if u == 0:
-                    if not allow_pseudo:
-                        raise ZeroDistance(i, j)
-                    positive = False
+                    raise ZeroDistance(i, j)
         # Exhaustive triangle inequality over finite pairs: a pair through an
         # unreachable step bounds nothing, and an unreachable d(i,k) fails
         # any finite bound.
@@ -133,7 +129,6 @@ class QuasiMetricSpace:
                         )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", matrix)
-        object.__setattr__(self, "positive_min", positive)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "steps", steps)
@@ -159,14 +154,6 @@ class QuasiMetricSpace:
         units = Fraction(l) * self.den
         return units.numerator if units.denominator == 1 else None
 
-    def require_positive(self) -> None:
-        """Raise ZeroDistance, naming the first zero pair, on a pseudo space."""
-        if not self.positive_min:
-            for i in range(self.n):
-                for j, u in self.steps[i]:
-                    if u == 0:
-                        raise ZeroDistance(i, j)
-
     def max_finite_distance(self) -> Fraction:
         return Fraction(max((u for row in self.steps for _, u in row), default=0), self.den)
 
@@ -186,8 +173,8 @@ def _distance(i: int, j: int, x) -> Fraction | None:
 
 @dataclass(frozen=True)
 class AdjacentPair:
-    """Ordered pair (x, y) with d(x, y) nonzero, finite, and not refinable:
-    no third point a has d(x,y) = d(x,a) + d(a,y)."""
+    """Ordered pair (x, y) of distinct points with d(x, y) finite and not
+    refinable: no third point a has d(x,y) = d(x,a) + d(a,y)."""
 
     x: int
     y: int
@@ -230,7 +217,7 @@ def adjacent_pairs(space: QuasiMetricSpace) -> list:
             if x == y:
                 continue
             dxy = d[x][y]
-            if not dxy:  # zero or unreachable
+            if dxy is None:
                 continue
             if all(
                 d[x][a] is None or d[a][y] is None or d[x][a] + d[a][y] != dxy
@@ -401,12 +388,15 @@ def parse_graph_file(text: str) -> Graph:
 
 
 def metric_row(number: int, line: str, n: int) -> list:
-    """The n distances of line `number` of a metric file, else an InputError."""
+    """The n distances of line `number` of a metric file, else an InputError
+    that names the line and either the cell count or the bad cell's fault."""
     cells = line.split(",")
-    if len(cells) == n:
-        with suppress(ValueError):
-            return [parse_rational(cell) for cell in cells]
-    raise InputError(f"line {number}: expected {n} comma-separated entries (p/q, integer or inf)")
+    if len(cells) != n:
+        raise InputError(f"line {number}: expected {n} comma-separated entries (p/q, integer or inf)")
+    try:
+        return [parse_rational(cell) for cell in cells]
+    except ValueError as exc:
+        raise InputError(f"line {number}: {exc}") from None
 
 
 def parse_metric_file(text: str) -> QuasiMetricSpace:

@@ -85,9 +85,37 @@ def test_ring_export_bytes_are_pinned(capsys, tmp_path):
 def test_recover_pseudo_metric_is_input_error(capsys, tmp_path):
     f = tmp_path / "pseudo.csv"
     f.write_text("0,0\n0,0\n")
-    code, _, err = run(capsys, "recover", "--metric", str(f))
-    assert code == 2
-    assert "error" in err
+    for argv in (
+        ("recover", "--metric", str(f)),
+        ("homology", "--metric", str(f), "--kmax", "1", "--lmax", "1"),
+    ):
+        assert run(capsys, *argv) == (2, "", "error: distinct points 0, 1 are at distance 0\n"), argv
+
+
+def test_flag_errors_name_their_reason(capsys):
+    for argv, message in (
+        (("homology", "--graph", "k3", "--kmax", "1", "--lmax", "inf"),
+         "argument --lmax: infinite distance has no finite value"),
+        (("homology", "--graph", "k3", "--kmax", "1", "--lmax", "1/0"),
+         "argument --lmax: zero denominator in '1/0'"),
+        (("homology", "--graph", "k3", "--kmax", "1", "--lmax", "-1"),
+         "argument --lmax: distances must be nonnegative, got -1"),
+        (("homology", "--graph", "k3", "--kmax", "1", "--lmax", "x"),
+         "argument --lmax: expected p/q, an integer or inf, got 'x'"),
+        (("homology", "--graph", "k3", "--kmax", "-1", "--lmax", "1"),
+         "argument --kmax: expected a nonnegative integer, got '-1'"),
+        (("homology", "--graph", "k3", "--kmax", "x", "--lmax", "1"),
+         "argument --kmax: expected a nonnegative integer, got 'x'"),
+        (("recover", "--graph", "k3", "--lmax", "oo"),
+         "argument --lmax: infinite distance has no finite value"),
+        (("verify", "series", "--graph", "k3", "--lmax=-1/2"),
+         "argument --lmax: distances must be nonnegative, got -1/2"),
+        (("verify", "diagonal", "--graph", "k3", "--lmax", "-1"),
+         "argument --lmax: expected a nonnegative integer, got '-1'"),
+        (("verify", "diagonal", "--graph", "k3", "--lmax", "1/2"),
+         "argument --lmax: expected a nonnegative integer, got '1/2'"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_verify_cyclic(capsys):
@@ -206,7 +234,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("pair.poset", "3\n0 1\n", "line 2: expected 'a < b'"),
         ("chain.poset", "3\n0 < 1 < 2\n", "line 2: expected 'a < b'"),
         ("count.poset", "x\n", "line 1: expected 'n'"),
-        ("cell.csv", "0,1\n1,x\n", "line 2: expected 2 comma-separated entries (p/q, integer or inf)"),
+        ("cell.csv", "0,1\n1,x\n", "line 2: expected p/q, an integer or inf, got 'x'"),
         ("short.csv", "0,1\n1\n", "line 2: expected 2 comma-separated entries (p/q, integer or inf)"),
     ):
         path = tmp_path / name

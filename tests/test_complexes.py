@@ -13,7 +13,6 @@ from magnitude.homology import MagnitudeHomology
 from magnitude.spaces import (
     Graph,
     QuasiMetricSpace,
-    ZeroDistance,
     builtin_graph,
     space_from_graph,
 )
@@ -60,16 +59,9 @@ def test_enumeration_matches_brute_force_on_random_spaces():
     # unreachable pairs: a digraph that is not strongly connected
     digraph = space_from_graph(Graph.directed_graph(4, [(0, 1), (1, 2), (2, 1), (3, 2)]))
     assert any(x is None for row in digraph.d for x in row)
-    # zero steps: a pseudo space, whose grades realizable_grades refuses
-    half = Fraction(1, 2)
-    pseudo = QuasiMetricSpace(
-        [[0, 0, half, 1], [0, 0, half, 1], [half, half, 0, half], [1, 1, half, 0]],
-        allow_pseudo=True,
-    )
-    for space, grades in ((digraph, range(5)), (pseudo, [0, half, 1, Fraction(3, 2), 2])):
-        for k in range(4):
-            for l in grades:
-                assert enumerate_simplices(space, k, l) == brute_force_simplices(space, k, l)
+    for k in range(4):
+        for l in range(5):
+            assert enumerate_simplices(digraph, k, l) == brute_force_simplices(digraph, k, l)
     # a grade that is not a multiple of 1/6 on a space with denominators 2 and 3
     third, sixth = Fraction(1, 3), Fraction(5, 6)
     mixed = QuasiMetricSpace([[0, Fraction(1, 2), sixth], [Fraction(1, 2), 0, third], [sixth, third, 0]])
@@ -131,14 +123,6 @@ def test_coboundary_squared_zero():
             assert engine.coboundary(k + 1, l).matmul(engine.coboundary(k, l)).is_zero()
 
 
-def test_pseudo_space_blocks_computable():
-    pseudo = QuasiMetricSpace([[0, 0, 1], [0, 0, 1], [1, 1, 0]], allow_pseudo=True)
-    sims = enumerate_simplices(pseudo, 2, 0)
-    assert (0, 1, 0) in sims
-    engine = MagnitudeHomology(pseudo)
-    assert engine.boundary(1, 0).matmul(engine.boundary(2, 0)).is_zero()
-
-
 def test_realizable_grades():
     c4 = space_from_graph(builtin_graph("c4"))
     assert realizable_grades(c4, 3) == [0, 1, 2, 3]
@@ -149,6 +133,3 @@ def test_realizable_grades():
     assert realizable_grades(one, 4) == [0]
     with pytest.raises(ValueError, match="negative"):
         realizable_grades(c4, -1)
-    pseudo = QuasiMetricSpace([[0, 0], [0, 0]], allow_pseudo=True)
-    with pytest.raises(ZeroDistance):
-        realizable_grades(pseudo, 2)

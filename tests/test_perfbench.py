@@ -1,8 +1,9 @@
-"""The benchmark's own self-test and one untraced pass of each of its four
-workloads (groups, ring, recover, series), run from the repository root.
-The harness wraps engine functions by name (boundary_matrix,
-space_from_graph, inversion_series, ...), so a renamed or re-signed
-function breaks it, and each pass checks its outputs against
+"""The benchmark's own self-test and one untraced and one traced pass of
+each of its four workloads (groups, ring, recover, series), run from the
+repository root.  The tracer wraps engine functions by name and binds their
+signatures (QuasiMetricSpace.__init__, boundary_matrix, smith_normal_form,
+export_presentation, ...), so a renamed or re-signed function breaks the
+traced pass, and each pass checks its outputs against
 perfbench/reference.json, so a wrong group, export byte, recovered space or
 series coefficient fails here."""
 
@@ -29,12 +30,13 @@ def test_benchmark_selftest_passes():
 
 @pytest.mark.parametrize("workload", ["groups", "ring", "recover", "series"])
 def test_workload_pass_is_correct(workload):
-    """One untraced pass of each workload, checked against
-    perfbench/reference.json: the groups tables, the ring export's sha256 and
-    class products, every scrambled recover round trip, and both series."""
+    """One untraced and one traced pass of each workload, both checked
+    against perfbench/reference.json: the groups tables, the ring export's
+    sha256 and class products, every scrambled recover round trip, and both
+    series."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -16,7 +16,6 @@ from magnitude.ring import Cochain, RingPresentation, class_of, export_presentat
 from magnitude.spaces import (
     Graph,
     QuasiMetricSpace,
-    ZeroDistance,
     adjacent_pairs,
     builtin_graph,
     is_isometric,
@@ -418,12 +417,6 @@ def test_roundtrip_sample():
 
 def test_roundtrip_icosahedron_scrambled():
     assert recovery_roundtrip(space_from_graph(builtin_graph("icosahedron")), scramble_seed=3)
-
-
-def test_roundtrip_refuses_pseudo():
-    pseudo = QuasiMetricSpace([[0, 0, 1], [0, 0, 1], [1, 1, 0]], allow_pseudo=True)
-    with pytest.raises(ZeroDistance):
-        recovery_roundtrip(pseudo, scramble_seed=1)
 
 
 def test_idempotent_count_equals_rank():

@@ -31,7 +31,6 @@ from magnitude.ring import (
 from magnitude.spaces import (
     Graph,
     QuasiMetricSpace,
-    ZeroDistance,
     adjacent_pairs,
     builtin_graph,
     space_from_graph,
@@ -442,12 +441,6 @@ def test_edge_presentation_is_pointwise_ring():
     assert pres.mult(b00, e1, b00, e0)[1] == [0, 0]
     assert pres.mult(b00, e0, b00, e0)[1] in (e0, e1)
     assert pres.mult(b00, list(pres.unit), b00, e0)[1] == e0
-
-
-def test_export_refuses_pseudo_spaces():
-    pseudo = QuasiMetricSpace([[0, 0], [0, 0]], allow_pseudo=True)
-    with pytest.raises(ZeroDistance):
-        export_presentation(pseudo, 1, 1)
 
 
 def test_one_point_presentation():

@@ -166,11 +166,15 @@ def test_is_isometric_is_an_equivalence():
                     assert is_isometric(a, c)
 
 
-def test_pseudo_spaces_need_explicit_flag():
+def test_zero_distance_refused():
     with pytest.raises(ZeroDistance):
         QuasiMetricSpace([[0, 0], [0, 0]])
-    pseudo = QuasiMetricSpace([[0, 0], [0, 0]], allow_pseudo=True)
-    assert not pseudo.positive_min
+    # one zero direction suffices, and the first zero pair in row order is named
+    for d, pair in (([[0, 1], [0, 0]], "1, 0"), ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], "0, 2")):
+        with pytest.raises(ZeroDistance, match=f"^distinct points {pair} are at distance 0$"):
+            QuasiMetricSpace(d)
+    with pytest.raises(ZeroDistance):
+        parse_metric_file("0,1\n0,0\n")
 
 
 def test_invalid_matrices_rejected():
@@ -245,7 +249,7 @@ def test_negative_entry_is_input_error():
         with pytest.raises(InvalidSpace, match=r"d\(0,1\) = -1(/3)? is negative"):
             QuasiMetricSpace([[0, entry], [1, 0]])
     assert issubclass(InvalidSpace, InputError)
-    with pytest.raises(InputError, match="line 1: expected 2 comma-separated entries"):
+    with pytest.raises(InputError, match="^line 1: distances must be nonnegative, got -1$"):
         parse_metric_file("0,-1\n1,0\n")
 
 
