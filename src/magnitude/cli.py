@@ -122,27 +122,33 @@ def cmd_ring(args) -> int:
 
 def cmd_recover(args) -> int:
     if args.ring:
+        for flag in ("kmax", "lmax", "seed"):
+            if getattr(args, flag) is not None:
+                raise InputError(f"argument --{flag}: not allowed with argument --ring")
         with _parsing(), open(args.ring) as fh:
             text = fh.read()
         _emit(format_metric_csv(recover_space(RingPresentation.from_json(text))), args.out)
         return EXIT_OK
     space = _space_from_args(args)
-    # the default grade range is the space's, which the parser cannot know
+    # the defaults apply to the round trip alone; the grade range is the
+    # space's, which the parser cannot know
+    kmax = 1 if args.kmax is None else args.kmax
+    seed = 0 if args.seed is None else args.seed
     lmax = space.max_finite_distance() if args.lmax is None else args.lmax
     pairs = adjacent_pairs(space)
     longest = max((p.length for p in pairs), default=0)
-    if pairs and (args.kmax < 1 or lmax < longest):
+    if pairs and (kmax < 1 or lmax < longest):
         raise InputError(
-            f"--kmax {args.kmax} --lmax {format_grade(lmax)} hides degree-one blocks the "
+            f"--kmax {kmax} --lmax {format_grade(lmax)} hides degree-one blocks the "
             f"round trip needs (kmax >= 1, lmax >= {format_grade(longest)})"
         )
-    pres = export_presentation(space, args.kmax, lmax, scramble_seed=args.seed)
+    pres = export_presentation(space, kmax, lmax, scramble_seed=seed)
     recovered = recover_space(RingPresentation.from_json(pres.to_json()))
     verdict = is_isometric(space, recovered)
     _emit(format_metric_csv(recovered), args.out)
     sys.stdout.write(
         json.dumps(
-            {"roundtrip": verdict, "n": space.n, "seed": args.seed}, sort_keys=True
+            {"roundtrip": verdict, "n": space.n, "seed": seed}, sort_keys=True
         )
         + "\n"
     )
@@ -283,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="reconstruct a space from a ring presentation")
     add_sources(p).add_argument("--ring", help="RingPresentation JSON file")
-    p.add_argument("--kmax", type=nonnegative_int, default=1)
-    p.add_argument("--lmax", type=grade, help="default: the largest finite distance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kmax", type=nonnegative_int, help="default: 1 (round trip only)")
+    p.add_argument("--lmax", type=grade, help="default: the largest finite distance "
+                   "(round trip only)")
+    p.add_argument("--seed", type=int, help="default: 0 (round trip only)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_recover)
 

@@ -1,8 +1,10 @@
 """Exact integer (co)homology of magnitude chain blocks via Smith normal form.
 
-Each grade l gives an independent chain complex of free abelian groups; the
-engine computes blocks lazily per (k, l) and never needs more than the
-boundaries at k and k+1 for a degree-k group.  Homology groups are reported
+Each grade l gives an independent chain complex of free abelian groups.  A
+BlockComplex addresses its blocks by (k, *g), g being the grading that the
+differential keeps (l for magnitude chains, nothing for an order complex),
+builds each lazily into one cache, and never needs more than the boundaries
+at k and k+1 for a degree-k group.  Homology groups are reported
 as rank plus invariant-factor torsion; cohomology additionally carries an
 explicit coordinate system so that ring operations can work with classes.
 Each LatticeQuotient composes its two Smith forms once into two sparse maps,
@@ -134,119 +136,110 @@ def _row_block(matrix: SparseMatrix, rows) -> SparseMatrix:
 
 
 class BlockComplex:
-    """A chain complex of finitely generated free abelian groups, lazily
-    built per degree from a basis rule and a boundary rule."""
+    """A chain complex of finitely generated free abelian groups, built
+    lazily block by block from a basis rule and a boundary rule.
+
+    A block is addressed by its degree k and the grading g that the
+    differential keeps: none for an order complex, the length l for
+    magnitude chains.  Every method takes (k, *g), and one cache holds each
+    block's basis, index, boundary, invariant factors and quotients under
+    the key (kind, k, *g)."""
 
     def __init__(self):
-        self._bases = {}
-        self._indexes = {}
-        self._boundaries = {}
-        self._factors = {}
-        self._quotients = {}
+        self._cache = {}
 
     # subclasses provide these two
-    def _simplices(self, k: int) -> list:
+    def _simplices(self, k: int, *g) -> list:
         raise NotImplementedError
 
-    def _boundary_matrix(self, k: int) -> SparseMatrix:
+    def _boundary_matrix(self, k: int, *g) -> SparseMatrix:
         raise NotImplementedError
 
-    def basis(self, k: int) -> list:
-        if k not in self._bases:
-            self._bases[k] = self._simplices(k) if k >= 0 else []
-        return self._bases[k]
+    def _cached(self, key, build):
+        """The value under key, built once by build()."""
+        found = self._cache.get(key)
+        if found is None:
+            found = self._cache[key] = build()
+        return found
 
-    def index(self, k: int) -> dict:
-        if k not in self._indexes:
-            self._indexes[k] = {s: i for i, s in enumerate(self.basis(k))}
-        return self._indexes[k]
+    # simplices and index are the hot lookups (the cup makes three per
+    # call), so they read the cache directly instead of passing a closure
+    def simplices(self, k: int, *g) -> list:
+        key = ("simplices", k, *g)
+        found = self._cache.get(key)
+        if found is None:
+            found = self._cache[key] = self._simplices(k, *g) if k >= 0 else []
+        return found
 
-    def boundary(self, k: int) -> SparseMatrix:
+    def index(self, k: int, *g) -> dict:
+        key = ("index", k, *g)
+        found = self._cache.get(key)
+        if found is None:
+            found = self._cache[key] = {s: i for i, s in enumerate(self.simplices(k, *g))}
+        return found
+
+    def boundary(self, k: int, *g) -> SparseMatrix:
         """The differential C_k -> C_{k-1}; zero map for k <= 0."""
-        if k not in self._boundaries:
-            if k <= 0:
-                self._boundaries[k] = SparseMatrix(0, len(self.basis(k)))
-            else:
-                self._boundaries[k] = self._boundary_matrix(k)
-        return self._boundaries[k]
+        return self._cached(("boundary", k, *g), lambda: (
+            self._boundary_matrix(k, *g) if k > 0 else SparseMatrix(0, len(self.simplices(k, *g)))
+        ))
 
-    def coboundary(self, k: int) -> SparseMatrix:
+    def coboundary(self, k: int, *g) -> SparseMatrix:
         """The dual differential on cochains in degree k, i.e. boundary(k+1)
         transposed."""
-        return self.boundary(k + 1).transpose()
+        return self.boundary(k + 1, *g).transpose()
 
-    def _invariant_factors(self, key, matrix_fn) -> tuple:
-        """Invariant factors of one matrix, reduced once per key; a rank is
-        their count."""
-        if key not in self._factors:
-            self._factors[key] = tuple(
-                smith_normal_form(matrix_fn(), need=(), divisibility=True).diag
-            )
-        return self._factors[key]
+    def _invariant_factors(self, kind: str, k: int, *g) -> tuple:
+        """Invariant factors of boundary(k) ("d") or coboundary(k) ("dt"),
+        reduced once per key; a rank is their count."""
+        matrix = self.boundary if kind == "d" else self.coboundary
+        return self._cached((kind, k, *g), lambda: tuple(
+            smith_normal_form(matrix(k, *g), need=(), divisibility=True).diag
+        ))
 
-    def homology(self, k: int) -> AbelianGroup:
-        nk = len(self.basis(k))
-        r_out = len(self._invariant_factors(("d", k), lambda: self.boundary(k)))
-        factors_in = self._invariant_factors(("d", k + 1), lambda: self.boundary(k + 1))
+    def homology(self, k: int, *g) -> AbelianGroup:
+        nk = len(self.simplices(k, *g))
+        r_out = len(self._invariant_factors("d", k, *g))
+        factors_in = self._invariant_factors("d", k + 1, *g)
         return AbelianGroup(nk - r_out - len(factors_in), _torsion_of(factors_in))
 
-    def cohomology(self, k: int) -> AbelianGroup:
+    def cohomology(self, k: int, *g) -> AbelianGroup:
         """Computed from the coboundary side (transposed matrices), so the
         universal-coefficient comparison against homology() is a real check."""
-        nk = len(self.basis(k))
-        r_out = len(self._invariant_factors(("dt", k), lambda: self.coboundary(k)))
-        factors_in = self._invariant_factors(("dt", k - 1), lambda: self.coboundary(k - 1))
+        nk = len(self.simplices(k, *g))
+        r_out = len(self._invariant_factors("dt", k, *g))
+        factors_in = self._invariant_factors("dt", k - 1, *g)
         return AbelianGroup(nk - r_out - len(factors_in), _torsion_of(factors_in))
 
-    def homology_quotient(self, k: int) -> LatticeQuotient:
-        key = ("hq", k)
-        if key not in self._quotients:
-            self._quotients[key] = LatticeQuotient(
-                self.boundary(k), self.boundary(k + 1), len(self.basis(k))
-            )
-        return self._quotients[key]
+    def homology_quotient(self, k: int, *g) -> LatticeQuotient:
+        return self._cached(("hq", k, *g), lambda: LatticeQuotient(
+            self.boundary(k, *g), self.boundary(k + 1, *g), len(self.simplices(k, *g))
+        ))
 
-    def cohomology_quotient(self, k: int) -> LatticeQuotient:
-        key = ("cq", k)
-        if key not in self._quotients:
-            self._quotients[key] = LatticeQuotient(
-                self.coboundary(k), self.coboundary(k - 1), len(self.basis(k))
-            )
-        return self._quotients[key]
+    def cohomology_quotient(self, k: int, *g) -> LatticeQuotient:
+        return self._cached(("cq", k, *g), lambda: LatticeQuotient(
+            self.coboundary(k, *g), self.coboundary(k - 1, *g), len(self.simplices(k, *g))
+        ))
 
-    def uct_check(self, k: int) -> bool:
+    def uct_check(self, k: int, *g) -> bool:
         """rank MH^k = rank MH_k and torsion MH^k = torsion MH_{k-1}."""
-        hk = self.homology(k)
-        ck = self.cohomology(k)
-        lower_torsion = self.homology(k - 1).torsion if k >= 1 else ()
+        hk = self.homology(k, *g)
+        ck = self.cohomology(k, *g)
+        lower_torsion = self.homology(k - 1, *g).torsion if k >= 1 else ()
         return ck.rank == hk.rank and ck.torsion == lower_torsion
 
 
-class MagnitudeSlice(BlockComplex):
-    """The magnitude chain complex of one grade l."""
-
-    def __init__(self, space: QuasiMetricSpace, l: Fraction):
-        super().__init__()
-        self.space = space
-        self.l = Fraction(l)
-
-    def _simplices(self, k: int) -> list:
-        return complexes.enumerate_simplices(self.space, k, self.l)
-
-    def _boundary_matrix(self, k: int) -> SparseMatrix:
-        return complexes.boundary_matrix(
-            self.space, k, self.l, self.basis(k), self.index(k - 1)
-        )
-
-
-class MagnitudeHomology:
-    """Lazy per-grade engine for one space, with optional hard truncation."""
+class MagnitudeHomology(BlockComplex):
+    """The magnitude chain complex of one space, a block per degree k and
+    grade l, with optional hard truncation.  A grade is an int or a
+    Fraction; numerically equal grades (2, Fraction(4, 2)) hash alike and so
+    name one block."""
 
     def __init__(self, space: QuasiMetricSpace, kmax=None, lmax=None):
+        super().__init__()
         self.space = space
         self.kmax = kmax
         self.lmax = Fraction(lmax) if lmax is not None else None
-        self._slices = {}
 
     def check_bidegree(self, k: int, l) -> None:
         l = Fraction(l)
@@ -255,44 +248,13 @@ class MagnitudeHomology:
         ):
             raise MissingBlock(f"bidegree ({k}, {l}) outside truncation")
 
-    def slice(self, l) -> MagnitudeSlice:
-        """The slice of grade l, keyed on (numerator, denominator): an int or
-        Fraction grade is looked up without building or hashing a Fraction,
-        any other grade is converted once."""
-        if type(l) is not int and type(l) is not Fraction:
-            l = Fraction(l)
-        key = (l.numerator, l.denominator)
-        found = self._slices.get(key)
-        if found is None:
-            found = self._slices[key] = MagnitudeSlice(self.space, l)
-        return found
+    def _simplices(self, k: int, l) -> list:
+        return complexes.enumerate_simplices(self.space, k, l)
 
-    def simplices(self, k: int, l) -> list:
-        return self.slice(l).basis(k)
-
-    def index(self, k: int, l) -> dict:
-        return self.slice(l).index(k)
-
-    def boundary(self, k: int, l) -> SparseMatrix:
-        return self.slice(l).boundary(k)
-
-    def coboundary(self, k: int, l) -> SparseMatrix:
-        return self.slice(l).coboundary(k)
-
-    def homology(self, k: int, l) -> AbelianGroup:
-        return self.slice(l).homology(k)
-
-    def cohomology(self, k: int, l) -> AbelianGroup:
-        return self.slice(l).cohomology(k)
-
-    def homology_quotient(self, k: int, l) -> LatticeQuotient:
-        return self.slice(l).homology_quotient(k)
-
-    def cohomology_quotient(self, k: int, l) -> LatticeQuotient:
-        return self.slice(l).cohomology_quotient(k)
-
-    def uct_check(self, k: int, l) -> bool:
-        return self.slice(l).uct_check(k)
+    def _boundary_matrix(self, k: int, l) -> SparseMatrix:
+        return complexes.boundary_matrix(
+            self.space, k, l, self.simplices(k, l), self.index(k - 1, l)
+        )
 
     def degree_bound(self, l) -> int:
         """Largest degree that can carry simplices in grade l: k <= l / the

@@ -125,15 +125,15 @@ class OrderComplex(BlockComplex):
         # the faces of a strict chain are distinct, so each entry is one sign
         index = self.index(k - 1)
         rows = {}
-        for col, chain in enumerate(self.basis(k)):
+        for col, chain in enumerate(self.simplices(k)):
             for i in range(k + 1):
                 face = chain[:i] + chain[i + 1 :]
                 rows.setdefault(index[face], {})[col] = -1 if i & 1 else 1
-        return SparseMatrix(len(index), len(self.basis(k)), rows)
+        return SparseMatrix(len(index), len(self.simplices(k)), rows)
 
 
 def unit_cochain(complex_: OrderComplex) -> tuple:
-    return (1,) * len(complex_.basis(0))
+    return (1,) * len(complex_.simplices(0))
 
 
 def poset_cup(complex_: OrderComplex, j: int, xi, k: int, eta) -> tuple:
@@ -141,7 +141,7 @@ def poset_cup(complex_: OrderComplex, j: int, xi, k: int, eta) -> tuple:
     front_index = complex_.index(j)
     back_index = complex_.index(k)
     out = []
-    for chain in complex_.basis(j + k):
+    for chain in complex_.simplices(j + k):
         out.append(xi[front_index[chain[: j + 1]]] * eta[back_index[chain[j:]]])
     return tuple(out)
 

@@ -11,20 +11,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def parse_rational(text: str) -> Fraction | None:
-    """Parse a nonnegative 'p/q' or integer literal, or 'inf' (None)."""
-    text = text.strip()
-    if text.lower() in ("inf", "infinity", "oo"):
-        return None
+_INFINITE = ("inf", "infinity", "oo")
+
+
+def _parse_finite(text: str, forms: str) -> Fraction:
+    """A nonnegative 'p/q' or integer literal; a refusal of any other text
+    lists the accepted forms."""
     try:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
-        raise ValueError(f"expected p/q, an integer or inf, got {text!r}") from None
+        raise ValueError(f"expected {forms}, got {text!r}") from None
     if value < 0:
         raise ValueError(f"distances must be nonnegative, got {value}")
     return value
+
+
+def parse_rational(text: str) -> Fraction | None:
+    """Parse a nonnegative 'p/q' or integer literal, or 'inf' (None)."""
+    text = text.strip()
+    if text.lower() in _INFINITE:
+        return None
+    return _parse_finite(text, "p/q, an integer or inf")
 
 
 def format_rational(x: Fraction | None) -> str:
@@ -33,10 +42,10 @@ def format_rational(x: Fraction | None) -> str:
 
 def parse_grade(text: str) -> Fraction:
     """Parse a finite grade; grades of chain blocks are never infinite."""
-    x = parse_rational(text)
-    if x is None:
+    text = text.strip()
+    if text.lower() in _INFINITE:
         raise ValueError("infinite distance has no finite value")
-    return x
+    return _parse_finite(text, "p/q or an integer")
 
 
 def format_grade(l: Fraction) -> str:

@@ -101,7 +101,7 @@ def test_flag_errors_name_their_reason(capsys):
         (("homology", "--graph", "k3", "--kmax", "1", "--lmax", "-1"),
          "argument --lmax: distances must be nonnegative, got -1"),
         (("homology", "--graph", "k3", "--kmax", "1", "--lmax", "x"),
-         "argument --lmax: expected p/q, an integer or inf, got 'x'"),
+         "argument --lmax: expected p/q or an integer, got 'x'"),
         (("homology", "--graph", "k3", "--kmax", "-1", "--lmax", "1"),
          "argument --kmax: expected a nonnegative integer, got '-1'"),
         (("homology", "--graph", "k3", "--kmax", "x", "--lmax", "1"),
@@ -116,6 +116,20 @@ def test_flag_errors_name_their_reason(capsys):
          "argument --lmax: expected a nonnegative integer, got '1/2'"),
     ):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_a_grade_that_is_no_number_names_the_grade_forms(capsys, tmp_path):
+    """A grade is finite, so refusing a non-number does not offer inf (the
+    --lmax case is in the table above); a metric cell keeps its text."""
+    code, ring, _ = run(capsys, "ring", "--graph", "p2", "--kmax", "1", "--lmax", "1")
+    doc = json.loads(ring)
+    assert code == 0 and doc["bidegrees"][1]["l"] == "1"
+    doc["bidegrees"][1]["l"] = "x"
+    path = tmp_path / "x.ring.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "recover", "--ring", str(path)) == (
+        2, "", "error: bidegree entry 1: expected p/q or an integer, got 'x'\n"
+    )
 
 
 def test_verify_cyclic(capsys):
@@ -276,6 +290,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+    # a presentation fixes its truncation and bases: the round trip's flags are refused
+    for flag, value in (("--kmax", "0"), ("--lmax", "1/2"), ("--seed", "9")):
+        assert run(capsys, "recover", "--ring", str(ring), flag, value) == (
+            2, "", f"error: argument {flag}: not allowed with argument --ring\n"
+        ), flag
 
     def drop_rank(doc):
         del doc["bidegrees"][0]["rank"]

@@ -1,6 +1,5 @@
 import importlib
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from magnitude.homology import (
     homology,
     uct_check,
 )
+from magnitude.posets import OrderComplex, circle_poset
 from magnitude.ring import random_unimodular
 from magnitude.snf import SmithDecomposition, SparseMatrix
 from magnitude.spaces import QuasiMetricSpace, builtin_graph, space_from_graph
@@ -118,14 +118,26 @@ def test_homology_table_reduces_each_boundary_once(monkeypatch):
 
     monkeypatch.setattr(module, "smith_normal_form", counted)
     engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")))
+    grades = realizable_grades(engine.space, 3)
+    assert [l.denominator for l in grades] == [1] * len(grades)
     keys = set()
-    for _ in range(2):
-        for l in realizable_grades(engine.space, 3):
-            top = min(3, engine.degree_bound(l))
-            for k in range(top + 1):
-                engine.homology(k, l)
-                keys |= {(l, k), (l, k + 1)}  # H_k reads the boundaries at k and k+1
+    for l in grades:
+        for k in range(min(3, engine.degree_bound(l)) + 1):
+            engine.homology(k, int(l))
+            keys |= {(l, k), (l, k + 1)}  # H_k reads the boundaries at k and k+1
     assert len(calls) == len(keys)
+    # the same table named by Fraction grades reads the same blocks
+    for l in grades:
+        for k in range(min(3, engine.degree_bound(l)) + 1):
+            engine.homology(k, l)
+    assert len(calls) == len(keys)
+    # an order complex, which has no grading, reduces boundaries 0..4 once each
+    complex_ = OrderComplex(circle_poset())
+    calls.clear()
+    for _ in range(2):
+        for k in range(4):
+            complex_.homology(k)
+    assert len(calls) == 5
 
 
 def test_lattice_quotient_reduce_representative_roundtrip():
@@ -187,23 +199,20 @@ def test_diagonal_graphs_are_torsion_free():
                 assert engine.cohomology(k, l).torsion == ()
 
 
-def test_slice_lookup_by_any_accepted_grade():
+def test_equal_grades_name_one_block():
     engine = MagnitudeHomology(space_from_graph(builtin_graph("c5")), kmax=2, lmax=2)
-    two = engine.slice(2)
-    for l in (Fraction(2), Fraction(4, 2), "2", "4/2", 2.0, Decimal("2.0")):
-        assert engine.slice(l) is two, l
-    assert type(two.l) is Fraction and two.l == 2
-    assert engine.slice(True) is engine.slice(1) is not two
-    # a rational grade, named by an int-free Fraction, a string or a float
+    assert engine.simplices(1, 2) is engine.simplices(1, Fraction(4, 2))
+    assert engine.index(2, Fraction(2)) is engine.index(2, 2)
+    # a rational grade, named by Fractions in and out of lowest terms
     space = QuasiMetricSpace([[0, Fraction(3, 2)], [Fraction(3, 2), 0]])
     engine = MagnitudeHomology(space, kmax=1, lmax=Fraction(3, 2))
-    half = engine.slice(Fraction(3, 2))
-    assert engine.slice("3/2") is engine.slice(1.5) is engine.slice(Fraction(6, 4)) is half
-    assert half.l == Fraction(3, 2) and engine.simplices(1, "3/2") == [(0, 1), (1, 0)]
+    half = engine.cohomology_quotient(1, Fraction(3, 2))
+    assert engine.cohomology_quotient(1, Fraction(6, 4)) is half
+    assert engine.simplices(1, Fraction(6, 4)) == [(0, 1), (1, 0)]
     assert engine.homology(1, 1.5) == AbelianGroup(2)
-    # the truncation is checked as before; a slice lookup never checks it
+    # the truncation is checked on its own; a block lookup never checks it
     engine.check_bidegree(1, Fraction(3, 2))
-    for k, l in ((2, 1), (1, 2), (1, "7/4")):
+    for k, l in ((2, 1), (1, 2), (1, Fraction(7, 4))):
         with pytest.raises(MissingBlock):
             engine.check_bidegree(k, l)
-    assert engine.slice(3).l == 3
+    assert engine.simplices(2, 3) == [(0, 1, 0), (1, 0, 1)]

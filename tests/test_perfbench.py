@@ -1,7 +1,8 @@
-"""The benchmark's own self-test and one untraced and one traced pass of
-each of its four workloads (groups, ring, recover, series), run from the
-repository root.  The tracer wraps engine functions by name and binds their
-signatures (QuasiMetricSpace.__init__, boundary_matrix, smith_normal_form,
+"""The benchmark's own self-test, one untraced and one traced pass of each
+of its four workloads (groups, ring, recover, series), and the product half
+of its reference recorder, run from the repository root.  The tracer wraps
+engine functions by name and binds their signatures
+(QuasiMetricSpace.__init__, boundary_matrix, smith_normal_form,
 export_presentation, ...), so a renamed or re-signed function breaks the
 traced pass, and each pass checks its outputs against
 perfbench/reference.json, so a wrong group, export byte, recovered space or
@@ -44,3 +45,23 @@ def test_workload_pass_is_correct(workload):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True, proc.stdout
+
+
+def test_reference_recorder_reproduces_the_recorded_products():
+    """make_reference.products_reference(), which reads the engine's blocks
+    (simplices, index, cohomology_quotient) and checks class_product against
+    its own direct cup, gives the dims and products in reference.json.  It
+    runs in a subprocess because the module imports the engine afresh, and
+    main(), which rewrites the file, is not called."""
+    code = (
+        "import json, sys; sys.path.insert(0, 'perfbench'); import make_reference; "
+        "dims, products = make_reference.products_reference(); "
+        "print(json.dumps({'dims': dims, 'products': products}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        ring = json.load(fh)["ring"]
+    assert json.loads(proc.stdout) == {"dims": ring["dims"], "products": ring["products"]}

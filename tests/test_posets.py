@@ -83,7 +83,7 @@ def test_index_reversed_poset():
     # 2 < 1 < 0: the poset order disagrees with the vertex indices
     poset = FinitePoset.from_cover_relations(3, [(2, 1), (1, 0)])
     complex_ = OrderComplex(poset)
-    assert complex_.basis(2) == [(2, 1, 0)]
+    assert complex_.simplices(2) == [(2, 1, 0)]
     assert complex_.homology(0) == AbelianGroup(1)
     assert complex_.homology(1).is_trivial
     ok, failures = check_graded_commutativity(poset, 2)
@@ -161,7 +161,7 @@ def _is_maximal(poset, chain):
 def test_unit_acts_as_identity():
     complex_ = OrderComplex(circle_poset())
     u = unit_cochain(complex_)
-    xi = tuple(range(1, len(complex_.basis(1)) + 1))
+    xi = tuple(range(1, len(complex_.simplices(1)) + 1))
     assert poset_cup(complex_, 0, u, 1, xi) == xi
     assert poset_cup(complex_, 1, xi, 0, u) == xi
 
@@ -176,7 +176,7 @@ def test_degree_zero_products_are_pointwise():
 def test_h1_generators_multiply_to_zero():
     # the circle poset has height 1: no strict 2-chains exist at all
     complex_ = OrderComplex(circle_poset())
-    assert complex_.basis(2) == []
+    assert complex_.simplices(2) == []
     q1 = complex_.cohomology_quotient(1)
     xi = q1.representative(0)
     assert poset_cup(complex_, 1, xi, 1, xi) == ()
