@@ -12,7 +12,11 @@ never passes the face test: d(a,a) = 0 < d(a,b) + d(b,a).
 
 Bases are enumerated in lexicographic order by depth-first extension with
 remaining-length pruning, so every downstream matrix is reproducible
-bit-for-bit.
+bit-for-bit.  A block first drops the steps longer than l - (k-1) * least,
+which leave no room for the others, and takes each last step from the
+space's spheres (the points at exactly the remaining length) instead of
+scanning every step; count_simplices runs the same walk and adds up those
+last steps without building a tuple.
 """
 
 from __future__ import annotations
@@ -26,28 +30,60 @@ from .spaces import QuasiMetricSpace
 
 def enumerate_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> list:
     """All simplices of degree k and length exactly l, lexicographic."""
+    out = []
+
+    def leaf(prefix: list, ends):
+        for y in ends:
+            prefix[k] = y
+            out.append(tuple(prefix))
+
+    _walk(space, k, l, leaf)
+    return out
+
+
+def count_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> int:
+    """len(enumerate_simplices(space, k, l)), by the same walk but without
+    building the simplices."""
+    total = 0
+
+    def leaf(prefix: list, ends):
+        nonlocal total
+        total += len(ends)
+
+    _walk(space, k, l, leaf)
+    return total
+
+
+def _walk(space: QuasiMetricSpace, k: int, l: Fraction, leaf) -> None:
+    """Call leaf(prefix, ends) for every (x0, ..., x_{k-1}) in lexicographic
+    order that some points y, the ends in index order, complete to a simplex
+    of degree k and length l; prefix is a list of k + 1 entries, the last
+    one free for the caller."""
     l = Fraction(l)
     if l < 0 or k < 0:
-        return []
+        return
     if k == 0:
-        return [(x,) for x in range(space.n)] if l == 0 else []
+        if l == 0:
+            leaf([0], range(space.n))
+        return
     budget = space.grade_units(l)
     least = space.min_step  # every step costs at least this, for budget pruning
     if budget is None or least is None or budget < k * least:
-        return []
-    steps = space.steps
-    out = []
+        return
+    cap = budget - (k - 1) * least  # a longer step leaves no room for the others
+    steps = [[(y, d) for y, d in row if d <= cap] for row in space.steps]
+    spheres = space.spheres
     prefix = [0] * (k + 1)
 
     def extend(pos: int, remaining: int):
+        x = prefix[pos - 1]
         if pos == k:
-            for y, d in steps[prefix[pos - 1]]:
-                if d == remaining:
-                    prefix[pos] = y
-                    out.append(tuple(prefix))
+            ends = spheres[x].get(remaining)
+            if ends:
+                leaf(prefix, ends)
             return
         reserve = (k - pos) * least
-        for y, d in steps[prefix[pos - 1]]:
+        for y, d in steps[x]:
             if remaining - d >= reserve:
                 prefix[pos] = y
                 extend(pos + 1, remaining - d)
@@ -55,7 +91,6 @@ def enumerate_simplices(space: QuasiMetricSpace, k: int, l: Fraction) -> list:
     for x0 in range(space.n):
         prefix[0] = x0
         extend(1, budget)
-    return out
 
 
 def boundary_matrix(

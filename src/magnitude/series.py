@@ -74,14 +74,15 @@ def euler_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
 
     By Euler-Poincare that sum equals sum_k (-1)^k |MC_{k,l}|: the coboundary
     ranks cancel in pairs (see the module docstring), so each term is the
-    size of a chain basis, counted and dropped one block at a time."""
+    size of a chain basis, counted one block at a time without building
+    the simplices."""
     lmax = Fraction(lmax)
     engine = MagnitudeHomology(space)
     coeffs = {}
     for l in complexes.realizable_grades(space, lmax):
         total = 0
         for k in range(engine.degree_bound(l) + 1):
-            total += (-1) ** k * len(complexes.enumerate_simplices(space, k, l))
+            total += (-1) ** k * complexes.count_simplices(space, k, l)
         if total:
             coeffs[l] = total
     return GradedSeries.from_dict(lmax, coeffs)

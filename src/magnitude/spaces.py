@@ -82,12 +82,18 @@ class QuasiMetricSpace:
     pair is unreachable.  Besides it, a space keeps the one distance form the
     engine reads: ``units[x][y]``, the distance in units of ``1/den`` (``den``
     is the lcm of the finite denominators) or None; ``steps[x]``, the
-    pairs (y, units) of the finite out-steps of x in index order; and
-    ``min_step``, the least of those units, which is positive (None when
-    there is none).
+    pairs (y, units) of the finite out-steps of x in index order;
+    ``spheres[x]``, the same steps as a dict from units to the tuple of the
+    points y at that distance, in index order; and ``min_step``, the least
+    of all step units, which is positive (None when there is none).
+
+    The triangle check tests a pair (i, j) against every k only when none of
+    i's nearest points lies between i and j, so a graph metric costs about
+    (edges x n) rather than n^3; a failure is reported as the first failing
+    triple in index order, as by the exhaustive scan.
     """
 
-    __slots__ = ("n", "d", "den", "units", "steps", "min_step")
+    __slots__ = ("n", "d", "den", "units", "steps", "spheres", "min_step")
 
     def __init__(self, d: Sequence[Sequence]):
         # An entry that already is a Fraction is kept, so that spaces built
@@ -115,26 +121,33 @@ class QuasiMetricSpace:
             for j, u in steps[i]:
                 if u == 0:
                     raise ZeroDistance(i, j)
-        # Exhaustive triangle inequality over finite pairs: a pair through an
+        spheres = tuple(_spheres(row) for row in steps)
+        # Triangle inequality over finite pairs: a pair through an
         # unreachable step bounds nothing, and an unreachable d(i,k) fails
-        # any finite bound.
+        # any finite bound.  A pair (i, j) with a point m between them,
+        # d(i,m) + d(m,j) <= d(i,j), needs no k-loop: of the failing
+        # (i, j, k), one with d(i,j) least has no such m, for (m, j, k) and
+        # (i, m, k) have shorter first legs and hold, so that
+        # d(i,k) <= d(i,m) + d(m,k) <= d(i,m) + d(m,j) + d(j,k) <= d(i,j) + d(j,k)
+        # (and k = m fails nothing).  Only i's nearest points are tried as m,
+        # at equality, which finds one for every non-edge pair of a graph
+        # metric; a failure is reported by the exhaustive index-order scan.
         for i in range(n):
             row = units[i]
+            nearest = sorted(spheres[i].items())[:1]
             for j, dij in steps[i]:
-                for k, djk in steps[j]:
-                    dik = row[k]
-                    if dik is None or dik > dij + djk:
-                        raise InvalidSpace(
-                            f"triangle inequality fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
-                        )
+                if not _between(units, nearest, j, dij):
+                    for k, djk in steps[j]:
+                        dik = row[k]
+                        if dik is None or dik > dij + djk:
+                            _first_triangle_failure(units, steps)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", matrix)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(
-            self, "min_step", min((u for row in steps for _, u in row), default=None)
-        )
+        object.__setattr__(self, "spheres", spheres)
+        object.__setattr__(self, "min_step", min((min(s) for s in spheres if s), default=None))
 
     def __setattr__(self, *args):
         raise AttributeError("QuasiMetricSpace is immutable")
@@ -156,6 +169,38 @@ class QuasiMetricSpace:
 
     def max_finite_distance(self) -> Fraction:
         return Fraction(max((u for row in self.steps for _, u in row), default=0), self.den)
+
+
+def _spheres(steps: tuple) -> dict:
+    """Units -> the tuple of the points at that distance, in index order."""
+    out = {}
+    for y, u in steps:
+        out.setdefault(u, []).append(y)
+    return {u: tuple(ys) for u, ys in out.items()}
+
+
+def _between(units: tuple, rings: list, y: int, dxy: int) -> bool:
+    """Whether a point a of the rings, pairs (d(x,a), points a) of some point
+    x by increasing distance, has d(x,a) + d(a,y) = d(x,y) = dxy."""
+    for dxa, ring in rings:
+        if dxa >= dxy:
+            return False
+        for a in ring:
+            if units[a][y] == dxy - dxa:
+                return True
+    return False
+
+
+def _first_triangle_failure(units: tuple, steps: tuple):
+    """Raise for the first failing triple (i, j, k) in index order."""
+    for i, row in enumerate(units):
+        for j, dij in steps[i]:
+            for k, djk in steps[j]:
+                dik = row[k]
+                if dik is None or dik > dij + djk:
+                    raise InvalidSpace(
+                        f"triangle inequality fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
+                    )
 
 
 def _distance(i: int, j: int, x) -> Fraction | None:
@@ -210,21 +255,12 @@ def space_from_graph(g: Graph) -> QuasiMetricSpace:
 
 def adjacent_pairs(space: QuasiMetricSpace) -> list:
     """All ordered adjacent pairs of the space, sorted by (x, y)."""
-    d = space.d
     out = []
     for x in range(space.n):
-        for y in range(space.n):
-            if x == y:
-                continue
-            dxy = d[x][y]
-            if dxy is None:
-                continue
-            if all(
-                d[x][a] is None or d[a][y] is None or d[x][a] + d[a][y] != dxy
-                for a in range(space.n)
-                if a != x and a != y
-            ):
-                out.append(AdjacentPair(x, y, dxy))
+        rings = sorted(space.spheres[x].items())
+        for y, dxy in space.steps[x]:
+            if not _between(space.units, rings, y, dxy):
+                out.append(AdjacentPair(x, y, space.d[x][y]))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from magnitude.complexes import (
     boundary_matrix,
+    count_simplices,
     enumerate_simplices,
     realizable_grades,
 )
@@ -71,6 +72,53 @@ def test_enumeration_matches_brute_force_on_random_spaces():
             assert enumerate_simplices(mixed, k, l) == brute_force_simplices(mixed, k, l)
     assert enumerate_simplices(mixed, 2, Fraction(4, 3)) != []
     assert enumerate_simplices(mixed, 2, Fraction(5, 4)) == []
+
+
+def long_steps(space, k, l):
+    """The distances longer than l - (k-1) * least, which leave no room for
+    the other k - 1 steps of a k-simplex of length l."""
+    least = min(x for row in space.d for x in row if x)
+    return [x for row in space.d for x in row if x and x > l - (k - 1) * least]
+
+
+def test_enumeration_where_long_steps_leave_no_room():
+    cases = []
+    # mixed fractional weights: least 1/2, steps up to 11/6
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mixed = QuasiMetricSpace([
+        [0, half, Fraction(5, 6), Fraction(4, 3)],
+        [half, 0, third, Fraction(5, 6)],
+        [Fraction(5, 6), third, 0, half],
+        [Fraction(11, 6), Fraction(4, 3), 1, 0],
+    ])
+    cases += [(mixed, k, l) for k in (2, 3) for l in realizable_grades(mixed, 2)]
+    # a digraph with unreachable pairs and a long way round
+    digraph = space_from_graph(Graph.directed_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5)]))
+    assert any(x is None for row in digraph.d for x in row)
+    cases += [(digraph, k, l) for k in (2, 3, 4) for l in range(1, 6)]
+    # k at the degree bound, where only least steps remain
+    c7 = space_from_graph(builtin_graph("c7"))
+    for space, lmax in ((mixed, Fraction(5, 3)), (c7, 4)):
+        cases += [(space, MagnitudeHomology(space).degree_bound(l), l) for l in realizable_grades(space, lmax)[1:]]
+    for space, k, l in cases:
+        expected = brute_force_simplices(space, k, l)
+        assert enumerate_simplices(space, k, l) == expected, (k, l)
+        assert count_simplices(space, k, l) == len(expected)
+    assert all(long_steps(space, k, l) for space, k, l in cases)
+    assert sum(1 for space, k, l in cases if brute_force_simplices(space, k, l)) > 20
+
+
+def test_count_equals_the_enumerated_block():
+    rng = random.Random(12)
+    spaces = [space_from_graph(builtin_graph(name)) for name in ("c5", "petersen")]
+    spaces.append(space_from_graph(Graph.directed_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])))
+    spaces.append(random_rational_space(rng, nmax=5))
+    assert any(x.denominator > 1 for x in spaces[-1].d[0] + spaces[-1].d[1])
+    for space in spaces:
+        engine = MagnitudeHomology(space)
+        for l in realizable_grades(space, 4):
+            for k in range(engine.degree_bound(l) + 2):
+                assert count_simplices(space, k, l) == len(enumerate_simplices(space, k, l)), (k, l)
 
 
 def test_enumeration_is_lexicographic_and_deterministic():

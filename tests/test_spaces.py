@@ -131,8 +131,11 @@ def test_adjacency_is_edge_recognition_on_graphs():
 
 def test_adjacency_on_quasi_metrics_matches_brute_force():
     rng = random.Random(8)
-    for _ in range(10):
-        s = random_rational_space(rng)
+    spaces = [random_rational_space(rng) for _ in range(10)]
+    spaces += [random_rational_space(rng, nmax=7) for _ in range(150)]
+    spaces += [space_from_graph(random_strongly_connected_digraph(rng)) for _ in range(50)]
+    spaces += [QuasiMetricSpace(d) for d in (random_matrix(rng) for _ in range(400)) if refusal(d) is None]
+    for s in spaces:
         assert [(p.x, p.y, p.length) for p in adjacent_pairs(s)] == brute_force_adjacent(s)
 
 
@@ -270,3 +273,111 @@ def test_fraction_entries_are_kept_as_they_are():
     assert len({id(x) for row in s.d for x in row}) == 3  # one object per BFS level
     t = QuasiMetricSpace(s.d)
     assert all(x is y for a, b in zip(s.d, t.d) for x, y in zip(a, b))
+
+
+def reference_refusal(d):
+    """Oracle: the exhaustive validation over Fractions, in index order,
+    written without any spaces.py helper; the refusal text, or None."""
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] is not None and d[i][j] < 0:
+                return f"d({i},{j}) = {d[i][j]} is negative"
+    for i in range(n):
+        if d[i][i] != 0:
+            return f"d({i},{i}) must be 0"
+    for i in range(n):
+        for j in range(n):
+            if i != j and d[i][j] == 0:
+                return f"distinct points {i}, {j} are at distance 0"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if j == i or k == j or d[i][j] is None or d[j][k] is None:
+                    continue
+                if d[i][k] is None or d[i][k] > d[i][j] + d[j][k]:
+                    return f"triangle inequality fails: d({i},{k}) > d({i},{j}) + d({j},{k})"
+    return None
+
+
+def refusal(d):
+    try:
+        QuasiMetricSpace(d)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def random_matrix(rng):
+    """A shortest-path closure of random rational (sometimes unreachable)
+    entries, then up to two entries raised, lowered, made unreachable or
+    zeroed, mostly keeping the space valid or failing one triangle."""
+    n = rng.randrange(1, 8)
+    d = [[None if rng.random() < 0.2 else Fraction(rng.randrange(1, 9), rng.choice((1, 2, 3)))
+          for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        d[i][i] = Fraction(0)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] is not None and d[k][j] is not None:
+                    via = d[i][k] + d[k][j]
+                    if d[i][j] is None or via < d[i][j]:
+                        d[i][j] = via
+    for _ in range(rng.randrange(3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if d[i][j] is None or (i == j and rng.random() < 0.8):
+            continue
+        d[i][j] = rng.choice((
+            d[i][j] + Fraction(1, rng.choice((1, 2, 6))),
+            d[i][j] - Fraction(1, 6),
+            None,
+            0,
+            d[i][j] * 2,
+        ))
+        if rng.random() < 0.3 and d[i][j] is not None and d[i][j].denominator == 1:
+            d[i][j] = int(d[i][j])  # ints and Fractions mix
+    return d
+
+
+def test_validation_matches_exhaustive_reference():
+    rng = random.Random(20)
+    seen = {"accepted": 0, "triangle": 0, "other": 0}
+    for _ in range(2500):
+        d = random_matrix(rng)
+        expected = reference_refusal(d)
+        assert refusal(d) == expected, d
+        kind = "accepted" if expected is None else "triangle" if "triangle" in expected else "other"
+        seen[kind] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_first_failing_triple_behind_an_intermediate_point():
+    # In index order (0, 2, 3) fails first, but 1 lies between 0 and 2, so
+    # the triangle check skips the pair (0, 2) and first meets the failure
+    # (1, 2, 3); the refusal still names the first triple in index order.
+    d = [[0, 1, 2, 4], [1, 0, 1, 3], [2, 1, 0, 1], [4, 3, 1, 0]]
+    assert reference_refusal(d) == "triangle inequality fails: d(0,3) > d(0,2) + d(2,3)"
+    with pytest.raises(InvalidSpace, match=r"^triangle inequality fails: d\(0,3\) > d\(0,2\) \+ d\(2,3\)$"):
+        QuasiMetricSpace(d)
+
+
+def grid_graph(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.undirected(rows * cols, edges)
+
+
+def test_grid_metric_accepted_and_one_raised_entry_refused():
+    rows, cols = 15, 20
+    s = space_from_graph(grid_graph(rows, cols))
+    for a in range(s.n):
+        for b in range(s.n):
+            assert s.d[a][b] == abs(a // cols - b // cols) + abs(a % cols - b % cols)
+    assert QuasiMetricSpace(s.d) == s
+    raised = [list(row) for row in s.d]
+    raised[0][s.n - 1] += 1
+    expected = reference_refusal(raised)
+    assert expected == f"triangle inequality fails: d(0,{s.n - 1}) > d(0,1) + d(1,{s.n - 1})"
+    assert refusal(raised) == expected
+
