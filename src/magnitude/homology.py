@@ -2,9 +2,11 @@
 
 Each grade l gives an independent chain complex of free abelian groups.  A
 BlockComplex addresses its blocks by (k, *g), g being the grading that the
-differential keeps (l for magnitude chains, nothing for an order complex),
-builds each lazily into one cache, and never needs more than the boundaries
-at k and k+1 for a degree-k group.  Homology groups are reported
+differential keeps (l for magnitude chains, nothing for an order complex).
+A degree-k group needs only the invariant factors of the boundaries at k
+and k+1, so one cache keeps bases, indices, factors and quotients, and a
+boundary matrix is assembled where it is reduced and dropped once its
+factors or quotient exist.  Homology groups are reported
 as rank plus invariant-factor torsion; cohomology additionally carries an
 explicit coordinate system so that ring operations can work with classes.
 Each LatticeQuotient composes its two Smith forms once into two sparse maps,
@@ -142,8 +144,8 @@ class BlockComplex:
     A block is addressed by its degree k and the grading g that the
     differential keeps: none for an order complex, the length l for
     magnitude chains.  Every method takes (k, *g), and one cache holds each
-    block's basis, index, boundary, invariant factors and quotients under
-    the key (kind, k, *g)."""
+    block's basis, index, invariant factors and quotients under the key
+    (kind, k, *g); boundary matrices are built on each call, never kept."""
 
     def __init__(self):
         self._cache = {}
@@ -179,10 +181,11 @@ class BlockComplex:
         return found
 
     def boundary(self, k: int, *g) -> SparseMatrix:
-        """The differential C_k -> C_{k-1}; zero map for k <= 0."""
-        return self._cached(("boundary", k, *g), lambda: (
-            self._boundary_matrix(k, *g) if k > 0 else SparseMatrix(0, len(self.simplices(k, *g)))
-        ))
+        """The differential C_k -> C_{k-1}, zero for k <= 0, assembled anew on
+        each call."""
+        if k > 0:
+            return self._boundary_matrix(k, *g)
+        return SparseMatrix(0, len(self.simplices(k, *g)))
 
     def coboundary(self, k: int, *g) -> SparseMatrix:
         """The dual differential on cochains in degree k, i.e. boundary(k+1)

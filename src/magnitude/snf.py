@@ -4,7 +4,9 @@ All arithmetic is arbitrary-precision (Python int); intermediate entries in
 integer elimination can blow up even on modest matrices, so fixed-width types
 are never used.  Pivots come from a heap, with minimal absolute value (ties
 broken towards sparse rows/columns) to limit entry growth; without transforms,
-+-1 singletons are split off first (the two policies: `smith_normal_form`).
++-1 singletons are split off first by reading the input, and only the core
+left behind is copied (the two policies: `smith_normal_form`).  The input is
+never modified.
 Row operations clear a pivot's column; the row sweep then reduces the pivot
 row in place, as a column operation against the lone pivot moves one entry.
 A finished pivot's row and column leave the eliminator; the invariant-factor
@@ -166,15 +168,17 @@ class _Eliminator:
     """Mutable elimination state over synchronized row/column indexes."""
 
     def __init__(self, matrix: SparseMatrix, need):
-        self.rows = {r: dict(d) for r, d in matrix.rows.items()}
         self.colrows = {}
-        for r, d in self.rows.items():
+        for r, d in matrix.rows.items():
             for c in d:
                 self.colrows.setdefault(c, set()).add(r)
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
         self.need = frozenset(need)
-        self.peeled = 0 if self.need else self._peel()
+        if self.need:
+            self.peeled, self.rows = 0, {r: dict(d) for r, d in matrix.rows.items()}
+        else:
+            self.peeled, self.rows = self._peel(matrix.rows)
         self.U = {r: {r: 1} for r in range(self.nrows)} if "U" in self.need else None
         self.UinvT = {r: {r: 1} for r in range(self.nrows)} if "Uinv" in self.need else None
         self.VT = {c: {c: 1} for c in range(self.ncols)} if "V" in self.need else None
@@ -184,26 +188,35 @@ class _Eliminator:
             for c, v in d.items():
                 self._push(r, c, v)
 
-    def _peel(self) -> int:
+    def _peel(self, rows) -> tuple:
         """Drop each +-1 alone in its row or column with its row and column, a
-        unimodular split without fill-in; return the count.  Dropping a column
-        shortens only rows and dropping a row only columns: one pass each."""
-        rows, colrows = self.rows, self.colrows
+        unimodular split without fill-in; return the count and a copy of the
+        rows left (the core).  The caller's rows are only read: a live-entry
+        count per row and the dropped columns stand for the shortened rows.
+        Dropping a column shortens only rows and dropping a row only columns:
+        one pass each."""
+        colrows = self.colrows
+        live = {r: len(d) for r, d in rows.items()}
+        dropped = set()
+
+        def entries(r):
+            return [(c, v) for c, v in rows[r].items() if c not in dropped]
+
         peeled = 0
-        todo = [r for r, d in rows.items() if len(d) == 1]
+        todo = [r for r, n in live.items() if n == 1]
         while todo:
             r = todo.pop()
-            if r in rows:  # rows only shrink here, so it is still a singleton
-                ((c, v),) = rows[r].items()
+            if r in live:  # rows only shrink here, so it is still a singleton
+                ((c, v),) = entries(r)
                 if v in (1, -1):
                     peeled += 1
+                    dropped.add(c)
                     for r2 in colrows.pop(c):
-                        row = rows[r2]
-                        del row[c]
-                        if len(row) == 1:
+                        live[r2] -= 1
+                        if live[r2] == 1:
                             todo.append(r2)
-                        elif not row:
-                            del rows[r2]
+                        elif not live[r2]:
+                            del live[r2]
         todo = [c for c, rs in colrows.items() if len(rs) == 1]
         while todo:
             c = todo.pop()
@@ -211,14 +224,15 @@ class _Eliminator:
                 (r,) = colrows[c]
                 if rows[r][c] in (1, -1):
                     peeled += 1
-                    for c2 in rows.pop(r):
+                    del live[r]
+                    for c2, _ in entries(r):
                         rs = colrows[c2]
                         rs.discard(r)
                         if len(rs) == 1:
                             todo.append(c2)
                         elif not rs:
                             del colrows[c2]
-        return peeled
+        return peeled, {r: dict(entries(r)) for r in live}
 
     # -- heap of pivot candidates, keyed for minimal entry growth ----------
 
@@ -340,9 +354,11 @@ def smith_normal_form(
     `divisibility=False` skips the invariant-factor chain (rank-only uses).
 
     With `need` empty the pivot order is unobservable: +-1 entries alone in
-    their row or column are split off first (`_Eliminator._peel`), `diag`
-    starts with their 1s and only the core reaches the heap.  With transforms
-    the heap takes every pivot, as U and V fix the class bases and export.
+    their row or column are split off first (`_Eliminator._peel`, which
+    reads `matrix` and copies only the unpeeled core), `diag` starts with
+    their 1s, only the core reaches the heap, and no transform is built.
+    With transforms every row is copied and the heap takes every pivot, as
+    U and V fix the class bases and export.  `matrix` is never modified.
     """
     elim = _Eliminator(matrix, need)
     pivots = []
@@ -362,6 +378,9 @@ def smith_normal_form(
 
     if divisibility:
         _fix_divisibility(elim, pivots)
+    diag = [1] * elim.peeled + [p for _, _, p in pivots]
+    if not elim.need:
+        return SmithDecomposition(matrix.nrows, matrix.ncols, diag)
 
     row_order = [r for r, _, _ in pivots]
     row_order += sorted(set(range(elim.nrows)) - set(row_order))
@@ -381,7 +400,7 @@ def smith_normal_form(
     return SmithDecomposition(
         nrows=matrix.nrows,
         ncols=matrix.ncols,
-        diag=[1] * elim.peeled + [p for _, _, p in pivots],
+        diag=diag,
         U=permuted(elim.U, row_order, elim.nrows, elim.nrows),
         UinvT=permuted(elim.UinvT, row_order, elim.nrows, elim.nrows),
         VT=permuted(elim.VT, col_order, elim.ncols, elim.ncols),

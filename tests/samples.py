@@ -100,6 +100,16 @@ def hemicube_covers():
     return top + 1, sorted(covers)
 
 
+def hemicube_prism() -> Graph:
+    """The directed hemi-cube (its face poset's cover arcs, as in
+    hemicube_covers) box P2: 30 points, a copy of each arc on both levels
+    and the P2 edge both ways; MH_{5,6} is (Z/2)^2."""
+    n, covers = hemicube_covers()
+    arcs = [(2 * a + i, 2 * b + i) for a, b in covers for i in (0, 1)]
+    arcs += [(2 * v + i, 2 * v + 1 - i) for v in range(n) for i in (0, 1)]
+    return Graph.directed_graph(2 * n, arcs)
+
+
 def all_trees(n: int):
     """All trees on n vertices up to isomorphism, via Pruefer sequences."""
     import bisect

@@ -83,6 +83,26 @@ def test_gu_basis_small():
     assert ok, failures
 
 
+def test_gu_basis_names_a_simplex_that_is_no_cycle(monkeypatch):
+    # (0, 1, 2, 3) has boundary (0, 1, 3) - (0, 2, 3) in C5; put in place of
+    # an admissible simplex of its block, only the quotient's kernel test
+    # can catch it
+    import magnitude.cyclic as cyclic
+
+    admissible = cyclic.admissible_simplices
+
+    def with_a_non_cycle(n, k, l):
+        out = admissible(n, k, l)
+        if (k, l) == (3, 3):
+            out[0] = AdmissibleSimplex((0, 1, 2, 3), (1, 1, 1))
+        return out
+
+    monkeypatch.setattr(cyclic, "admissible_simplices", with_a_non_cycle)
+    ok, failures = verify_gu_basis(5, 3)
+    assert not ok
+    assert "(3,3): (0, 1, 2, 3) is not a cycle" in failures
+
+
 def test_gu_rank_table_c5_degree2():
     engine = MagnitudeHomology(space_from_graph(cycle_graph(5)))
     for l in range(2, 5):

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,38 @@ def test_homology_table_reduces_each_boundary_once(monkeypatch):
         for k in range(4):
             complex_.homology(k)
     assert len(calls) == 5
+
+
+def test_homology_table_keeps_no_boundary_matrix(monkeypatch):
+    # the Petersen table of the groups benchmark: each boundary is built
+    # where it is reduced and dropped with it, so none stays in the cache,
+    # and the table's traced peak stays under 6 MB (8.2 MB if every boundary
+    # stays cached and the Smith form copies its whole input)
+    module = importlib.import_module("magnitude.homology")
+    calls = [0]
+    snf = module.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(module, "smith_normal_form", counted)
+    space = space_from_graph(builtin_graph("petersen"))
+    tracemalloc.start()
+    try:
+        engine = MagnitudeHomology(space)
+        keys = set()
+        for l in realizable_grades(space, 5):
+            for k in range(min(4, engine.degree_bound(l)) + 1):
+                engine.homology(k, l)
+                keys |= {("d", k, l), ("d", k + 1, l)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(v, SparseMatrix) for v in engine._cache.values())
+    assert {key for key in engine._cache if key[0] == "d"} == keys
+    assert calls[0] == len(keys)
+    assert peak < 6_000_000, peak
 
 
 def test_lattice_quotient_reduce_representative_roundtrip():

@@ -1,7 +1,12 @@
 import copy
 import random
 
+from magnitude.complexes import realizable_grades
+from magnitude.homology import MagnitudeHomology
 from magnitude.snf import SparseMatrix, _Eliminator, invariant_factors, rank, smith_normal_form
+from magnitude.spaces import builtin_graph, space_from_graph
+
+from samples import hemicube_prism
 
 
 def verify_decomposition(matrix):
@@ -162,6 +167,28 @@ def test_peel_leaves_the_input_unmodified():
         invariant_factors(matrix)
         rank(matrix)
         assert matrix.rows == before and (matrix.nrows, matrix.ncols) == (5, 6)
+
+
+def test_peel_on_the_engines_boundary_blocks():
+    # every nonzero boundary block of Petersen to l = 4, C5 to l = 5 and the
+    # directed hemi-cube box P2 to l = 6, whose d_{6,6} gives MH_{5,6} its
+    # (Z/2)^2; the peel reads each block without changing it
+    torsion = {}
+    for graph, lmax in ((builtin_graph("petersen"), 4), (builtin_graph("c5"), 5), (hemicube_prism(), 6)):
+        engine = MagnitudeHomology(space_from_graph(graph))
+        for l in realizable_grades(engine.space, lmax):
+            for k in range(1, engine.degree_bound(l) + 1):
+                matrix = engine.boundary(k, l)
+                if matrix.is_zero():
+                    continue
+                before = copy.deepcopy(matrix.rows)
+                diag = verify_decomposition(matrix).diag
+                assert invariant_factors(matrix) == diag
+                peeled, core = _peeled_core(matrix)
+                assert invariant_factors(SparseMatrix(matrix.nrows, matrix.ncols, core)) == diag[peeled:]
+                assert matrix.rows == before
+                torsion[(graph.n, k, l)] = [d for d in diag if d > 1]
+    assert torsion[(30, 6, 6)] == [2, 2]
 
 
 # -- the divisibility repair, recorded on the transforms alone ---------------
