@@ -188,9 +188,9 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
-    if args.n == 3 or args.n == 1:
-        # C_3 = K_3 and C_1 = K_1 are complete graphs: verify diagonally
-        graph = builtin_graph(f"k{args.n}")
+    if args.n == 3:
+        # C_3 = K_3 is a complete graph: verify diagonally
+        graph = builtin_graph("k3")
         ok, failures = graph_algebra.verify_diagonal_theorem(graph, args.kmax)
         return _report(
             ok,

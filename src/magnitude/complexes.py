@@ -59,7 +59,6 @@ def _walk(space: QuasiMetricSpace, k: int, l: Fraction, leaf) -> None:
     order that some points y, the ends in index order, complete to a simplex
     of degree k and length l; prefix is a list of k + 1 entries, the last
     one free for the caller."""
-    l = Fraction(l)
     if l < 0 or k < 0:
         return
     if k == 0:

@@ -14,7 +14,6 @@ edges ((1,1)), and b_xz over ordered pairs at distance m ((2, m+1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .homology import MagnitudeHomology
 from .ring import (
@@ -424,7 +423,7 @@ def verify_presentation(n: int, kmax: int):
                     p = ring.e[adm.simplex[0]]
                 else:
                     p = ring.word_class(monomial_of(adm, n_))
-                if (p.k, p.l) != (k, Fraction(l)):
+                if (p.k, p.l) != (k, l):
                     failures.append(f"p_{adm.simplex} lands in ({p.k},{p.l})")
                     continue
                 for other in adms:

@@ -18,7 +18,6 @@ constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import complexes
 from .snf import SparseMatrix, smith_normal_form
@@ -65,10 +64,10 @@ def _torsion_of(diag) -> tuple:
 class LatticeQuotient:
     """Canonical coordinates on ker(A)/im(B) inside Z^n.
 
-    A is the outgoing map on Z^n (None meaning zero, so the kernel is all of
-    Z^n) and B the incoming map whose image is divided out.  Coordinates list
-    the free classes first, then the torsion classes; torsion coordinates are
-    reduced modulo their orders.
+    A is the outgoing map on Z^n (a zero map, of any row count, makes the
+    kernel all of Z^n) and B the incoming map whose image is divided out.
+    Coordinates list the free classes first, then the torsion classes;
+    torsion coordinates are reduced modulo their orders.
 
     The two Smith forms are composed once into two sparse dim x n maps and
     then dropped: `coordinates` (row i reads class coordinate i off a kernel
@@ -77,9 +76,9 @@ class LatticeQuotient:
     and to every vector given to reduce.
     """
 
-    def __init__(self, A, B: SparseMatrix, n: int):
+    def __init__(self, A: SparseMatrix, B: SparseMatrix, n: int):
         self.n = n
-        if A is None or A.is_zero():
+        if A.is_zero():
             ra = 0
             self._kernel_test = SparseMatrix(0, n)
             to_kernel = from_kernel = SparseMatrix.identity(n)
@@ -145,7 +144,8 @@ class BlockComplex:
     differential keeps: none for an order complex, the length l for
     magnitude chains.  Every method takes (k, *g), and one cache holds each
     block's basis, index, invariant factors and quotients under the key
-    (kind, k, *g); boundary matrices are built on each call, never kept."""
+    (kind, k, *g), each filled through _cached; boundary matrices are built
+    on each call, never kept."""
 
     def __init__(self):
         self._cache = {}
@@ -164,21 +164,15 @@ class BlockComplex:
             found = self._cache[key] = build()
         return found
 
-    # simplices and index are the hot lookups (the cup makes three per
-    # call), so they read the cache directly instead of passing a closure
     def simplices(self, k: int, *g) -> list:
-        key = ("simplices", k, *g)
-        found = self._cache.get(key)
-        if found is None:
-            found = self._cache[key] = self._simplices(k, *g) if k >= 0 else []
-        return found
+        return self._cached(
+            ("simplices", k, *g), lambda: self._simplices(k, *g) if k >= 0 else []
+        )
 
     def index(self, k: int, *g) -> dict:
-        key = ("index", k, *g)
-        found = self._cache.get(key)
-        if found is None:
-            found = self._cache[key] = {s: i for i, s in enumerate(self.simplices(k, *g))}
-        return found
+        return self._cached(
+            ("index", k, *g), lambda: {s: i for i, s in enumerate(self.simplices(k, *g))}
+        )
 
     def boundary(self, k: int, *g) -> SparseMatrix:
         """The differential C_k -> C_{k-1}, zero for k <= 0, assembled anew on
@@ -234,18 +228,18 @@ class BlockComplex:
 
 class MagnitudeHomology(BlockComplex):
     """The magnitude chain complex of one space, a block per degree k and
-    grade l, with optional hard truncation.  A grade is an int or a
-    Fraction; numerically equal grades (2, Fraction(4, 2)) hash alike and so
-    name one block."""
+    grade l, with optional hard truncation.  A grade is taken as given, an
+    int or a Fraction: numerically equal grades (2, Fraction(4, 2)) hash
+    alike and so name one block, and the space's grade_units is the one
+    place where a grade becomes units."""
 
     def __init__(self, space: QuasiMetricSpace, kmax=None, lmax=None):
         super().__init__()
         self.space = space
         self.kmax = kmax
-        self.lmax = Fraction(lmax) if lmax is not None else None
+        self.lmax = lmax
 
     def check_bidegree(self, k: int, l) -> None:
-        l = Fraction(l)
         if (self.kmax is not None and k > self.kmax) or (
             self.lmax is not None and l > self.lmax
         ):
@@ -265,7 +259,7 @@ class MagnitudeHomology(BlockComplex):
         space = self.space
         if space.min_step is None:
             return 0
-        return int(Fraction(l) * space.den / space.min_step)
+        return int(l * space.den // space.min_step)
 
 
 def homology(space: QuasiMetricSpace, k: int, l) -> AbelianGroup:

@@ -28,7 +28,6 @@ rank-one corners, each a copy of Z.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
@@ -37,7 +36,7 @@ from .rationals import format_grade
 from .ring import RingPresentation, export_presentation
 from .spaces import InputError, QuasiMetricSpace, is_isometric
 
-_B00 = (0, Fraction(0))
+_B00 = (0, 0)
 _HENSEL_CAP = 4096  # bits; far beyond any coordinate produced by scrambling
 
 
@@ -193,7 +192,7 @@ def recover_space(pres: RingPresentation) -> QuasiMetricSpace:
     n = len(points)
     dist = adjacency_weights(pres, points)
     for i in range(n):
-        dist[i][i] = Fraction(0)
+        dist[i][i] = 0
     for k in range(n):
         for i in range(n):
             dik = dist[i][k]

@@ -69,13 +69,12 @@ class HomologyClass:
 
 def unit_cochain(engine: MagnitudeHomology) -> Cochain:
     n = len(engine.simplices(0, 0))
-    return Cochain(0, Fraction(0), (1,) * n)
+    return Cochain(0, 0, (1,) * n)
 
 
 def indicator_cochain(engine: MagnitudeHomology, simplex: tuple, l) -> Cochain:
     """The dual-basis cochain of one simplex."""
     k = len(simplex) - 1
-    l = Fraction(l)
     idx = engine.index(k, l)[simplex]
     n = len(engine.simplices(k, l))
     coords = [0] * n
@@ -132,8 +131,8 @@ def class_product(engine: MagnitudeHomology, alpha: RingClass, beta: RingClass) 
 
 
 def cycle_class_of(engine: MagnitudeHomology, chain: list, k: int, l) -> HomologyClass:
-    quotient = engine.homology_quotient(k, Fraction(l))
-    return HomologyClass(k, Fraction(l), quotient.reduce(list(chain)))
+    quotient = engine.homology_quotient(k, l)
+    return HomologyClass(k, l, quotient.reduce(list(chain)))
 
 
 def kronecker(engine: MagnitudeHomology, alpha: RingClass, z: HomologyClass) -> int:
@@ -308,7 +307,7 @@ class RingPresentation:
             ranks[bideg], torsions[bideg], dims[bideg] = rank, tuple(torsion), rank + len(torsion)
         unit = doc["unit"]
         _require(
-            _is_int_list(unit) and len(unit) == dims.get((0, Fraction(0)), 0),
+            _is_int_list(unit) and len(unit) == dims.get((0, 0), 0),
             "unit", "not an integer list as long as dim(0, 0)",
         )
         table, keys = {}, {}
@@ -401,7 +400,6 @@ def export_presentation(
     T^-1; the unit and every product are read through that map, so a product
     is the cup, the kernel test, one matvec and the torsion reduction.
     """
-    lmax = Fraction(lmax)
     if space.n == 0:
         return RingPresentation([], {}, {}, (), {})
     engine = MagnitudeHomology(space, kmax=kmax, lmax=lmax)
@@ -432,7 +430,7 @@ def export_presentation(
         quotient = engine.cohomology_quotient(k, l)
         targets[k, l] = (quotient, scramble.matmul(quotient.coordinates), quotient.orders)
 
-    unit = targets[0, Fraction(0)][1].matvec(unit_cochain(engine).coords)
+    unit = targets[0, 0][1].matvec(unit_cochain(engine).coords)
     table = {}
     for ba in bidegrees:
         for bb in bidegrees:

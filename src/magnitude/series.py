@@ -47,7 +47,6 @@ class GradedSeries:
         return GradedSeries(Fraction(lmax), items)
 
     def coefficient(self, l) -> int:
-        l = Fraction(l)
         for grade, c in self.coefficients:
             if grade == l:
                 return c
@@ -76,7 +75,6 @@ def euler_series(space: QuasiMetricSpace, lmax) -> GradedSeries:
     ranks cancel in pairs (see the module docstring), so each term is the
     size of a chain basis, counted one block at a time without building
     the simplices."""
-    lmax = Fraction(lmax)
     engine = MagnitudeHomology(space)
     coeffs = {}
     for l in complexes.realizable_grades(space, lmax):

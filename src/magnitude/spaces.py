@@ -86,6 +86,8 @@ class QuasiMetricSpace:
     ``spheres[x]``, the same steps as a dict from units to the tuple of the
     points y at that distance, in index order; and ``min_step``, the least
     of all step units, which is positive (None when there is none).
+    ``grade_units`` is the one place where a grade becomes units, and two
+    spaces compare and hash on (den, units), which fixes ``d``.
 
     The triangle check tests a pair (i, j) against every k only when none of
     i's nearest points lies between i and j, so a graph metric costs about
@@ -153,10 +155,12 @@ class QuasiMetricSpace:
         raise AttributeError("QuasiMetricSpace is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, QuasiMetricSpace) and self.d == other.d
+        return isinstance(other, QuasiMetricSpace) and (self.den, self.units) == (
+            other.den, other.units
+        )
 
     def __hash__(self):
-        return hash(self.d)
+        return hash((self.den, self.units))
 
     def __repr__(self):
         return f"QuasiMetricSpace(n={self.n})"
@@ -265,26 +269,28 @@ def adjacent_pairs(space: QuasiMetricSpace) -> list:
 
 
 def _signature(space: QuasiMetricSpace, x: int):
-    """The sorted distances out of and into x, each with the unreachable
-    ones counted after the finite ones."""
-    row = sorted(space.d[x][j] for j in range(space.n) if j != x and space.d[x][j] is not None)
-    col = sorted(space.d[j][x] for j in range(space.n) if j != x and space.d[j][x] is not None)
+    """The sorted distance units out of and into x, each with the
+    unreachable ones counted after the finite ones."""
+    row = sorted(u for _, u in space.steps[x])
+    col = sorted(r[x] for j, r in enumerate(space.units) if j != x and r[x] is not None)
     return tuple(row), space.n - 1 - len(row), tuple(col), space.n - 1 - len(col)
 
 
 def is_isometric(a: QuasiMetricSpace, b: QuasiMetricSpace) -> bool:
-    """Exhaustive bijection search with distance-multiset pruning.
+    """Exhaustive bijection search with distance-multiset pruning, on the
+    integer form: isometric spaces have the same multiset of distances, so
+    the same den, and a different size or den is False, not an error.
 
     A point is only matched to points with the same sorted row and column
     of distances, and a partial bijection is dropped at its first pair whose
     distances differ.  No size limit applies: the cost is the number of
     partial bijections that survive, n! in the worst case.  On vertex-
-    transitive graphs against a relabelled copy it stays small: about 3 ms
-    for the Petersen graph (n = 10), 6 ms for the icosahedron (n = 12) and
-    0.5 s for the 6-cube (n = 64), with Python 3.11 on a 2-core x86-64 host.
-    A size mismatch is False, not an error.
+    transitive graphs against a relabelled copy it stays small: about 0.1 ms
+    for the Petersen graph (n = 10), 0.2 ms for the icosahedron (n = 12) and
+    6 ms for the 6-cube (n = 64), best of five with Python 3.11 on a 2-core
+    x86-64 host.
     """
-    if a.n != b.n:
+    if a.n != b.n or a.den != b.den:
         return False
     n = a.n
     sig_a = [_signature(a, x) for x in range(n)]
@@ -292,6 +298,7 @@ def is_isometric(a: QuasiMetricSpace, b: QuasiMetricSpace) -> bool:
     if sorted(sig_a) != sorted(sig_b):
         return False
     candidates = [[y for y in range(n) if sig_b[y] == sig_a[x]] for x in range(n)]
+    ua, ub = a.units, b.units
     image = [-1] * n
     used = [False] * n
 
@@ -303,7 +310,7 @@ def is_isometric(a: QuasiMetricSpace, b: QuasiMetricSpace) -> bool:
                 continue
             ok = True
             for z in range(x):
-                if a.d[x][z] != b.d[y][image[z]] or a.d[z][x] != b.d[image[z]][y]:
+                if ua[x][z] != ub[y][image[z]] or ua[z][x] != ub[image[z]][y]:
                     ok = False
                     break
             if ok:

@@ -110,6 +110,44 @@ def hemicube_prism() -> Graph:
     return Graph.directed_graph(2 * n, arcs)
 
 
+def moore_covers(p: int):
+    """(n, covers) of the face poset of a triangulated Moore space M(Z/p, 1),
+    p >= 2: a 3-cycle a0 a1 a2 (points 0..2), a 3p-cycle b0..b_{3p-1}
+    (points 3..3p+2) and a cone point c, with the triangles {b_i, b_{i+1},
+    a_{i mod 3}}, {b_{i+1}, a_{i mod 3}, a_{i+1 mod 3}} and {c, b_i, b_{i+1}}
+    for every i, so that the disk bounded by the b-cycle wraps p times round
+    the a-cycle.  The faces are listed by dimension as 1..F, with a bottom 0
+    and a top F+1 added; a face is covered by the faces one point larger.
+    This gives 57, 81 and 105 points for p = 2, 3 and 4."""
+    from itertools import combinations
+
+    m = 3 * p
+    c = 3 + m
+    triangles = []
+    for i in range(m):
+        bi, bj, ai, aj = 3 + i, 3 + (i + 1) % m, i % 3, (i + 1) % 3
+        triangles += [(bi, bj, ai), (bj, ai, aj), (c, bi, bj)]
+    faces = {f for t in triangles for r in (1, 2, 3) for f in combinations(sorted(t), r)}
+    cells = sorted(faces, key=lambda f: (len(f), f))
+    index = {f: i + 1 for i, f in enumerate(cells)}
+    top = len(cells) + 1
+    covers = {(0, index[f]) for f in cells if len(f) == 1}
+    covers |= {(index[f], top) for f in cells if len(f) == 3}
+    covers |= {(index[f], index[g]) for g in cells for f in combinations(g, len(g) - 1) if f}
+    return top + 1, sorted(covers)
+
+
+def moore_graph(*ps) -> Graph:
+    """The disjoint union of the directed Hasse diagrams of moore_covers(p)
+    for each p given, in order."""
+    n, arcs = 0, []
+    for p in ps:
+        size, covers = moore_covers(p)
+        arcs += [(n + a, n + b) for a, b in covers]
+        n += size
+    return Graph.directed_graph(n, arcs)
+
+
 def all_trees(n: int):
     """All trees on n vertices up to isomorphism, via Pruefer sequences."""
     import bisect

@@ -215,6 +215,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", "series", "--graph", "k3")
     assert code == 2
+    # C_1 is no simple graph, as C_0, C_2 and C_-3 are not
+    code, out, err = run(capsys, "verify", "cyclic", "--n", "1", "--kmax", "2")
+    assert (code, out, err) == (2, "", "error: cycle needs at least 3 vertices\n")
     # covers naming an element outside 0..n-1, and a negative element count
     for name, text in (("above", "3\n0 < 5\n"), ("negative", "3\n0 < -1\n"), ("count", "-1\n")):
         poset = tmp_path / f"{name}.poset"

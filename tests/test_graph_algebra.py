@@ -115,5 +115,5 @@ def test_three_way_agreement_on_families():
 )
 def test_icosahedron_quotient_structure():
     graph = icosahedral_graph()
-    ok, failures = verify_diagonal_theorem(graph, 2, samples=10)
+    ok, failures = verify_diagonal_theorem(graph, 2)
     assert ok, failures

@@ -20,7 +20,7 @@ from magnitude.ring import random_unimodular
 from magnitude.snf import SmithDecomposition, SparseMatrix
 from magnitude.spaces import QuasiMetricSpace, builtin_graph, space_from_graph
 
-from samples import random_rational_space, random_strongly_connected_digraph
+from samples import moore_graph, random_rational_space, random_strongly_connected_digraph
 
 
 def test_abelian_group_formatting():
@@ -75,7 +75,7 @@ def test_uct_via_module_function():
 
 def test_lattice_quotient_torsion():
     # Z^2 / im diag(2, 3) = Z/2 + Z/3 = Z/6
-    quotient = LatticeQuotient(None, SparseMatrix.from_dense([[2, 0], [0, 3]]), 2)
+    quotient = LatticeQuotient(SparseMatrix(0, 2), SparseMatrix.from_dense([[2, 0], [0, 3]]), 2)
     assert quotient.group == AbelianGroup(0, (6,))
     assert quotient.orders == [6]
     rep = quotient.representative(0)
@@ -195,7 +195,7 @@ def test_vector_of_lifts_every_class_of_a_torsion_quotient():
     with_a = LatticeQuotient(outgoing, incoming, 5)
     m4 = SparseMatrix.from_dense(random_unimodular(4, rng)[0])
     incoming4 = m4.matmul(SparseMatrix.from_dense(relations[:4]))
-    without_a = LatticeQuotient(None, incoming4, 4)
+    without_a = LatticeQuotient(SparseMatrix(0, 4), incoming4, 4)
     for quotient, b in ((with_a, incoming), (without_a, incoming4)):
         assert quotient.group == AbelianGroup(2, (2, 6))
         for c in range(b.ncols):  # every relation is the zero class
@@ -204,6 +204,26 @@ def test_vector_of_lifts_every_class_of_a_torsion_quotient():
             coords = [rng.randrange(-9, 10) for _ in range(quotient.dim)]
             want = tuple(c % d if d else c for c, d in zip(coords, quotient.orders))
             assert quotient.reduce(quotient.vector_of(coords)) == want
+
+
+def test_moore_spaces_carry_torsion_beyond_two():
+    for p, points in ((2, 57), (3, 81), (4, 105)):
+        engine = MagnitudeHomology(space_from_graph(moore_graph(p)))
+        assert engine.space.n == points
+        for k in (2, 4, 5):
+            assert engine.homology(k, 4).is_trivial, (p, k)
+        assert engine.homology(3, 4) == AbelianGroup(0, (p,))
+        assert engine.cohomology(4, 4) == AbelianGroup(0, (p,))
+        assert engine.uct_check(3, 4) and engine.uct_check(4, 4)
+        quotient = engine.cohomology_quotient(4, 4)
+        assert quotient.orders == [p]
+        rep = quotient.representative(0)
+        assert quotient.reduce(rep) == (1,)
+        assert quotient.reduce([p * v for v in rep]) == (0,)
+    # the Smith form meets the pivots 2 and 3, which the repair makes 1 and 6
+    union = MagnitudeHomology(space_from_graph(moore_graph(2, 3)))
+    assert union.space.n == 138
+    assert union.homology(3, 4) == AbelianGroup(0, (6,))
 
 
 def test_class_reduction_kills_coboundaries():
