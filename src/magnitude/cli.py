@@ -251,6 +251,8 @@ def _poset_from_source(source: str):
         return posets.chain_poset(int(name[5:]))
     if name.startswith("antichain") and name[9:].isdecimal():
         return posets.antichain_poset(int(name[9:]))
+    if name.startswith("moore") and name[5:].isdecimal():
+        return posets.moore_poset(int(name[5:]))
     raise InputError(f"unknown poset {source!r}")
 
 
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The space sources, of which exactly one must be given."""
         sources = p.add_mutually_exclusive_group(required=True)
         sources.add_argument("--graph", help="builtin name (kN, pN, cN, kPQ, petersen, "
-                             "icosahedron) or an edge-list file")
+                             "icosahedron, mooreP) or an edge-list file")
         sources.add_argument("--metric", help="metric CSV file (entries p/q, int, inf)")
         return sources
 
@@ -311,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_cyclic)
 
     c = checks.add_parser("poset", help="graded commutativity of a poset's ring")
-    c.add_argument("--poset", required=True, help="circle, chainN, antichainN or a poset file")
+    c.add_argument("--poset", required=True,
+                   help="circle, chainN, antichainN, mooreP or a poset file")
     c.add_argument("--kmax", type=nonnegative_int, default=3)
     c.set_defaults(fn=cmd_poset)
 

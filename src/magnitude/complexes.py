@@ -12,11 +12,14 @@ never passes the face test: d(a,a) = 0 < d(a,b) + d(b,a).
 
 Bases are enumerated in lexicographic order by depth-first extension with
 remaining-length pruning, so every downstream matrix is reproducible
-bit-for-bit.  A block first drops the steps longer than l - (k-1) * least,
-which leave no room for the others, and takes each last step from the
-space's spheres (the points at exactly the remaining length) instead of
-scanning every step; count_simplices runs the same walk and adds up those
-last steps without building a tuple.
+bit-for-bit.  The walk drops a point's steps longer than l - (k-1) * least,
+which leave no room for the others, the first time it extends from that
+point (so a degree-1 block filters nothing), keeping them in index order, and
+takes each last step from the space's spheres (the points at exactly the
+remaining length) instead of scanning every step; count_simplices runs the
+same walk and adds up those last steps without building a tuple.  Distances
+are read in the space's integer form; a graph metric enters it directly as
+BFS levels.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def _walk(space: QuasiMetricSpace, k: int, l: Fraction, leaf) -> None:
     if budget is None or least is None or budget < k * least:
         return
     cap = budget - (k - 1) * least  # a longer step leaves no room for the others
-    steps = [[(y, d) for y, d in row if d <= cap] for row in space.steps]
-    spheres = space.spheres
+    space_steps, spheres = space.steps, space.spheres
+    steps = [None] * space.n  # x's steps up to the cap, once the walk extends from x
     prefix = [0] * (k + 1)
 
     def extend(pos: int, remaining: int):
@@ -81,8 +84,11 @@ def _walk(space: QuasiMetricSpace, k: int, l: Fraction, leaf) -> None:
             if ends:
                 leaf(prefix, ends)
             return
+        out = steps[x]
+        if out is None:
+            out = steps[x] = [(y, d) for y, d in space_steps[x] if d <= cap]
         reserve = (k - pos) * least
-        for y, d in steps[x]:
+        for y, d in out:
             if remaining - d >= reserve:
                 prefix[pos] = y
                 extend(pos + 1, remaining - d)

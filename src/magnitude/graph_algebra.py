@@ -25,14 +25,13 @@ DIAGONAL_SEED = 0  # which pairs of paths those spot-checks draw
 
 def edge_paths(g: Graph, k: int) -> list:
     """Edge paths of length k (walks; backtracking allowed), lexicographic."""
-    succ = [g.successors(u) for u in range(g.n)]
     out = []
 
     def extend(prefix):
         if len(prefix) == k + 1:
             out.append(tuple(prefix))
             return
-        for y in succ[prefix[-1]]:
+        for y in g.adjacency[prefix[-1]]:
             prefix.append(y)
             extend(prefix)
             prefix.pop()
@@ -61,7 +60,7 @@ def diagonal_quotient(g: Graph, k: int) -> DiagonalQuotient:
     """The degree-k piece of the path algebra modulo the midpoint relations."""
     paths = edge_paths(g, k)
     index = {p: i for i, p in enumerate(paths)}
-    succ = [g.successors(u) for u in range(g.n)]
+    succ = g.adjacency
     # gaps[x][z]: the midpoints y, x -> y -> z, of a pair at distance 2
     gaps = [{} for _ in range(g.n)]
     for x in range(g.n):

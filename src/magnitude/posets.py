@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .homology import BlockComplex
 from .snf import SparseMatrix
-from .spaces import InputError, file_lines, line_ints
+from .spaces import InputError, file_lines, line_ints, moore_covers
 
 
 class InvalidPoset(InputError):
@@ -86,6 +86,12 @@ def chain_poset(n: int) -> FinitePoset:
 
 def antichain_poset(n: int) -> FinitePoset:
     return FinitePoset([[i == j for j in range(n)] for i in range(n)])
+
+
+def moore_poset(p: int) -> FinitePoset:
+    """The face poset of M(Z/p, 1), p >= 2, with a bottom and a top added
+    (spaces.moore_covers)."""
+    return FinitePoset.from_cover_relations(*moore_covers(p))
 
 
 def circle_poset() -> FinitePoset:

@@ -10,15 +10,17 @@ Public distances and grades stay exact rationals.  Each space also keeps,
 computed once, one integer form for the engine: every distance as an integer
 over the common denominator of the finite distances, with None for an
 unreachable pair.  A grade, being a sum of distances, is then an integer in
-the same units.
+the same units.  A graph metric enters in that form directly: its BFS levels
+are integer units with den = 1, checked as any matrix is.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -44,20 +46,25 @@ class InvalidSpace(InputError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertices 0..n-1; edges are ordered pairs if directed."""
+    """Simple graph on vertices 0..n-1; edges are ordered pairs if directed.
+    ``adjacency[u]`` is the sorted tuple of the v with an edge (u, v)."""
 
     n: int
     edges: frozenset
     directed: bool = False
+    adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise InvalidSpace(f"negative vertex count {self.n}")
+        succ = [[] for _ in range(self.n)]
         for (u, v) in self.edges:
             if u == v:
                 raise InvalidSpace(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidSpace(f"edge ({u},{v}) out of range")
+            succ[u].append(v)
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(vs)) for vs in succ))
 
     @staticmethod
     def undirected(n: int, pairs: Iterable[tuple]) -> "Graph":
@@ -71,9 +78,6 @@ class Graph:
     def directed_graph(n: int, pairs: Iterable[tuple]) -> "Graph":
         return Graph(n, frozenset((u, v) for (u, v) in pairs), directed=True)
 
-    def successors(self, u: int) -> list:
-        return sorted(v for (a, v) in self.edges if a == u)
-
 
 class QuasiMetricSpace:
     """Immutable finite space with an exact extended quasi-metric.
@@ -83,11 +87,13 @@ class QuasiMetricSpace:
     engine reads: ``units[x][y]``, the distance in units of ``1/den`` (``den``
     is the lcm of the finite denominators) or None; ``steps[x]``, the
     pairs (y, units) of the finite out-steps of x in index order;
-    ``spheres[x]``, the same steps as a dict from units to the tuple of the
-    points y at that distance, in index order; and ``min_step``, the least
-    of all step units, which is positive (None when there is none).
-    ``grade_units`` is the one place where a grade becomes units, and two
-    spaces compare and hash on (den, units), which fixes ``d``.
+    ``spheres[x]``, the same steps as a dict, by increasing units, from
+    units to the tuple of the points y at that distance, in index order; and
+    ``min_step``, the least of all step units, which is positive (None when
+    there is none).  ``grade_units`` is the one place where a grade becomes
+    units, and two spaces compare and hash on (den, units), which fixes
+    ``d``.  The constructor converts ``d`` to units; ``space_from_graph``
+    hands its integer BFS levels to the same checks without that step.
 
     The triangle check tests a pair (i, j) against every k only when none of
     i's nearest points lies between i and j, so a graph metric costs about
@@ -112,18 +118,27 @@ class QuasiMetricSpace:
             tuple(None if v is None else v.numerator * (den // v.denominator) for v in row)
             for row in matrix
         )
+        self._settle(matrix, den, units)
+
+    def _settle(self, d: tuple, den: int, units: tuple) -> None:
+        """Check the integer form `units` of the square matrix `d` and keep
+        both: every space, from a matrix or from a graph, is checked here."""
+        n = len(units)
         for i in range(n):
             if units[i][i] != 0:
                 raise InvalidSpace(f"d({i},{i}) must be 0")
-        steps = tuple(
-            tuple((j, u) for j, u in enumerate(row) if j != i and u is not None)
-            for i, row in enumerate(units)
-        )
-        for i in range(n):
-            for j, u in steps[i]:
-                if u == 0:
-                    raise ZeroDistance(i, j)
-        spheres = tuple(_spheres(row) for row in steps)
+        # One pass per row finds its steps, its spheres and any zero step
+        # (the diagonal is 0, so `if u` keeps exactly the finite steps).
+        steps, spheres = [], []
+        for i, row in enumerate(units):
+            out = [(j, u) for j, u in enumerate(row) if u]
+            if row.count(0) > 1:
+                raise ZeroDistance(i, next(j for j, u in enumerate(row) if u == 0 and j != i))
+            sphere = {}
+            for j, u in out:
+                sphere.setdefault(u, []).append(j)
+            steps.append(tuple(out))
+            spheres.append({u: tuple(sphere[u]) for u in sorted(sphere)})
         # Triangle inequality over finite pairs: a pair through an
         # unreachable step bounds nothing, and an unreachable d(i,k) fails
         # any finite bound.  A pair (i, j) with a point m between them,
@@ -134,22 +149,20 @@ class QuasiMetricSpace:
         # (and k = m fails nothing).  Only i's nearest points are tried as m,
         # at equality, which finds one for every non-edge pair of a graph
         # metric; a failure is reported by the exhaustive index-order scan.
-        for i in range(n):
-            row = units[i]
-            nearest = sorted(spheres[i].items())[:1]
-            for j, dij in steps[i]:
-                if not _between(units, nearest, j, dij):
-                    for k, djk in steps[j]:
-                        dik = row[k]
-                        if dik is None or dik > dij + djk:
-                            _first_triangle_failure(units, steps)
+        for i, row in enumerate(units):
+            nearest = list(spheres[i].items())[:1]
+            for j, dij in _unsplit(units, steps[i], nearest):
+                for k, djk in steps[j]:
+                    dik = row[k]
+                    if dik is None or dik > dij + djk:
+                        _first_triangle_failure(units, steps)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", matrix)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "units", units)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "spheres", spheres)
-        object.__setattr__(self, "min_step", min((min(s) for s in spheres if s), default=None))
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "spheres", tuple(spheres))
+        object.__setattr__(self, "min_step", min((next(iter(s)) for s in spheres if s), default=None))
 
     def __setattr__(self, *args):
         raise AttributeError("QuasiMetricSpace is immutable")
@@ -175,24 +188,26 @@ class QuasiMetricSpace:
         return Fraction(max((u for row in self.steps for _, u in row), default=0), self.den)
 
 
-def _spheres(steps: tuple) -> dict:
-    """Units -> the tuple of the points at that distance, in index order."""
-    out = {}
-    for y, u in steps:
-        out.setdefault(u, []).append(y)
-    return {u: tuple(ys) for u, ys in out.items()}
-
-
-def _between(units: tuple, rings: list, y: int, dxy: int) -> bool:
-    """Whether a point a of the rings, pairs (d(x,a), points a) of some point
-    x by increasing distance, has d(x,a) + d(a,y) = d(x,y) = dxy."""
-    for dxa, ring in rings:
-        if dxa >= dxy:
-            return False
-        for a in ring:
-            if units[a][y] == dxy - dxa:
-                return True
-    return False
+def _unsplit(units: tuple, steps: tuple, rings) -> list:
+    """The steps (y, d(x,y)) of a point x that no point a of the rings splits,
+    d(x,a) + d(a,y) = d(x,y); the rings are pairs (d(x,a), points a) of x by
+    increasing distance."""
+    out = []
+    for y, dxy in steps:
+        for dxa, ring in rings:
+            if dxa >= dxy:
+                out.append((y, dxy))  # no ring is left nearer than y
+                break
+            gap = dxy - dxa
+            for a in ring:
+                if units[a][y] == gap:
+                    break
+            else:
+                continue  # no point of this ring splits (x, y)
+            break  # a point of this ring splits (x, y)
+        else:
+            out.append((y, dxy))
+    return out
 
 
 def _first_triangle_failure(units: tuple, steps: tuple):
@@ -231,41 +246,43 @@ class AdjacentPair:
 
 
 def space_from_graph(g: Graph) -> QuasiMetricSpace:
-    """Shortest-path metric of a graph; unreachable pairs get None."""
-    n = g.n
-    adj = [[] for _ in range(n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-    # one distance object per BFS level, shared by every pair at that level
-    levels = [Fraction(level) for level in range(n)]
-    dist = [[None] * n for _ in range(n)]
+    """Shortest-path metric of a graph; unreachable pairs get None.  The BFS
+    levels are already the integer form, with den = 1, and go through the
+    same checks as any matrix; ``d`` holds one Fraction per level, shared by
+    every pair at that level."""
+    n, adjacency = g.n, g.adjacency
+    units = []
+    depth = 0  # one more than the largest level
     for s in range(n):
-        dist[s][s] = levels[0]
+        row = [None] * n
+        row[s] = 0
         frontier = [s]
         level = 0
-        seen = {s}
         while frontier:
             level += 1
             nxt = []
             for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        dist[s][v] = levels[level]
+                for v in adjacency[u]:
+                    if row[v] is None:
+                        row[v] = level
                         nxt.append(v)
             frontier = nxt
-    return QuasiMetricSpace(dist)
+        units.append(tuple(row))
+        depth = max(depth, level)
+    levels = {None: None}
+    levels.update((level, Fraction(level)) for level in range(depth))
+    space = object.__new__(QuasiMetricSpace)
+    space._settle(tuple(tuple(map(levels.__getitem__, row)) for row in units), 1, tuple(units))
+    return space
 
 
 def adjacent_pairs(space: QuasiMetricSpace) -> list:
     """All ordered adjacent pairs of the space, sorted by (x, y)."""
-    out = []
-    for x in range(space.n):
-        rings = sorted(space.spheres[x].items())
-        for y, dxy in space.steps[x]:
-            if not _between(space.units, rings, y, dxy):
-                out.append(AdjacentPair(x, y, space.d[x][y]))
-    return out
+    return [
+        AdjacentPair(x, y, space.d[x][y])
+        for x in range(space.n)
+        for y, _ in _unsplit(space.units, space.steps[x], space.spheres[x].items())
+    ]
 
 
 def _signature(space: QuasiMetricSpace, x: int):
@@ -374,14 +391,44 @@ def icosahedral_graph() -> Graph:
     return Graph.undirected(12, edges)
 
 
+def moore_covers(p: int):
+    """(n, covers) of the face poset of a triangulated Moore space M(Z/p, 1),
+    p >= 2: a 3-cycle a0 a1 a2 (points 0..2), a 3p-cycle b0..b_{3p-1}
+    (points 3..3p+2) and a cone point c, with the triangles {b_i, b_{i+1},
+    a_{i mod 3}}, {b_{i+1}, a_{i mod 3}, a_{i+1 mod 3}} and {c, b_i, b_{i+1}}
+    for every i, so that the disk bounded by the b-cycle wraps p times round
+    the a-cycle.  The faces are listed by dimension as 1..F, with a bottom 0
+    and a top F+1 added; a face is covered by the faces one point larger.
+    This gives 57, 81 and 105 points for p = 2, 3 and 4."""
+    if p < 2:
+        raise InputError(f"Moore space M(Z/p, 1) needs p >= 2, got {p}")
+    m = 3 * p
+    c = 3 + m
+    triangles = []
+    for i in range(m):
+        bi, bj, ai, aj = 3 + i, 3 + (i + 1) % m, i % 3, (i + 1) % 3
+        triangles += [(bi, bj, ai), (bj, ai, aj), (c, bi, bj)]
+    faces = {f for t in triangles for r in (1, 2, 3) for f in combinations(sorted(t), r)}
+    cells = sorted(faces, key=lambda f: (len(f), f))
+    index = {f: i + 1 for i, f in enumerate(cells)}
+    top = len(cells) + 1
+    covers = {(0, index[f]) for f in cells if len(f) == 1}
+    covers |= {(index[f], top) for f in cells if len(f) == 3}
+    covers |= {(index[f], index[g]) for g in cells for f in combinations(g, len(g) - 1) if f}
+    return top + 1, sorted(covers)
+
+
 def builtin_graph(name: str) -> Graph:
     """Named graphs: kN complete, pN path, cN cycle, kPQ complete bipartite
-    (two nonzero digits, e.g. k22, k23), petersen, icosahedron."""
+    (two nonzero digits, e.g. k22, k23), petersen, icosahedron, and mooreP
+    (p >= 2), the directed Hasse diagram of moore_covers(p)."""
     name = name.strip().lower()
     if name == "petersen":
         return petersen_graph()
     if name == "icosahedron":
         return icosahedral_graph()
+    if name.startswith("moore") and name[5:].isdecimal():
+        return Graph.directed_graph(*moore_covers(int(name[5:])))
     if len(name) >= 2 and name[0] in "kpc" and name[1:].isdecimal():
         digits = name[1:]
         if name[0] == "k":

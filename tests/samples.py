@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from magnitude.posets import FinitePoset
-from magnitude.spaces import Graph, QuasiMetricSpace, is_isometric, space_from_graph
+from magnitude.spaces import Graph, QuasiMetricSpace, is_isometric, moore_covers, space_from_graph
 
 BUILTIN_NAMES = [
     "k3", "k4", "p2", "p3", "p4", "p5", "c4", "c5", "c7", "k22", "k23", "petersen",
@@ -38,6 +38,14 @@ def random_strongly_connected_digraph(rng, nmax=6) -> Graph:
         v = rng.randrange(n)
         if u != v:
             arcs.add((u, v))
+    return Graph.directed_graph(n, arcs)
+
+
+def random_digraph(rng, nmax=6) -> Graph:
+    """Random arcs, each ordered pair with probability 1/4: often not
+    strongly connected, so the metric has unreachable pairs."""
+    n = rng.randrange(2, nmax + 1)
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.25]
     return Graph.directed_graph(n, arcs)
 
 
@@ -108,33 +116,6 @@ def hemicube_prism() -> Graph:
     arcs = [(2 * a + i, 2 * b + i) for a, b in covers for i in (0, 1)]
     arcs += [(2 * v + i, 2 * v + 1 - i) for v in range(n) for i in (0, 1)]
     return Graph.directed_graph(2 * n, arcs)
-
-
-def moore_covers(p: int):
-    """(n, covers) of the face poset of a triangulated Moore space M(Z/p, 1),
-    p >= 2: a 3-cycle a0 a1 a2 (points 0..2), a 3p-cycle b0..b_{3p-1}
-    (points 3..3p+2) and a cone point c, with the triangles {b_i, b_{i+1},
-    a_{i mod 3}}, {b_{i+1}, a_{i mod 3}, a_{i+1 mod 3}} and {c, b_i, b_{i+1}}
-    for every i, so that the disk bounded by the b-cycle wraps p times round
-    the a-cycle.  The faces are listed by dimension as 1..F, with a bottom 0
-    and a top F+1 added; a face is covered by the faces one point larger.
-    This gives 57, 81 and 105 points for p = 2, 3 and 4."""
-    from itertools import combinations
-
-    m = 3 * p
-    c = 3 + m
-    triangles = []
-    for i in range(m):
-        bi, bj, ai, aj = 3 + i, 3 + (i + 1) % m, i % 3, (i + 1) % 3
-        triangles += [(bi, bj, ai), (bj, ai, aj), (c, bi, bj)]
-    faces = {f for t in triangles for r in (1, 2, 3) for f in combinations(sorted(t), r)}
-    cells = sorted(faces, key=lambda f: (len(f), f))
-    index = {f: i + 1 for i, f in enumerate(cells)}
-    top = len(cells) + 1
-    covers = {(0, index[f]) for f in cells if len(f) == 1}
-    covers |= {(index[f], top) for f in cells if len(f) == 3}
-    covers |= {(index[f], index[g]) for g in cells for f in combinations(g, len(g) - 1) if f}
-    return top + 1, sorted(covers)
 
 
 def moore_graph(*ps) -> Graph:

@@ -191,6 +191,20 @@ def test_verify_builtin_posets(capsys):
         assert code == want, name
 
 
+def test_moore_builtins(capsys):
+    code, out, err = run(capsys, "homology", "--graph", "moore3", "--kmax", "3", "--lmax", "4")
+    blocks = {(b["k"], b["l"]): (b["rank"], b["torsion"]) for b in json.loads(out)["blocks"]}
+    assert (code, err) == (0, "") and blocks[(3, "4")] == (0, [3])
+    code, out, err = run(capsys, "verify", "poset", "--poset", "moore2", "--kmax", "2")
+    assert (code, err) == (0, "") and json.loads(out)["verdict"] == "pass"
+    for name in ("moore1", "moore0", "moorex"):
+        for argv in (("homology", "--graph", name, "--kmax", "1", "--lmax", "1"),
+                     ("verify", "poset", "--poset", name)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
 def test_verify_without_its_flags_exits_2(capsys):
     for argv in (
         ("diagonal", "--lmax", "2"),

@@ -19,7 +19,13 @@ from magnitude.spaces import (
     space_from_graph,
 )
 
-from samples import random_connected_graph, random_rational_space, random_strongly_connected_digraph
+from samples import (
+    BUILTIN_NAMES,
+    random_connected_graph,
+    random_digraph,
+    random_rational_space,
+    random_strongly_connected_digraph,
+)
 
 
 def floyd_warshall(n, weight):
@@ -308,15 +314,19 @@ def refusal(d):
     return None
 
 
-def random_matrix(rng):
+def random_matrix(rng, ints=False):
     """A shortest-path closure of random rational (sometimes unreachable)
     entries, then up to two entries raised, lowered, made unreachable or
-    zeroed, mostly keeping the space valid or failing one triangle."""
+    zeroed, mostly keeping the space valid or failing one triangle.  With
+    ints, every entry is an int and a raise or a lowering is by 1."""
+
+    def draw():
+        return rng.randrange(1, 9) if ints else Fraction(rng.randrange(1, 9), rng.choice((1, 2, 3)))
+
     n = rng.randrange(1, 8)
-    d = [[None if rng.random() < 0.2 else Fraction(rng.randrange(1, 9), rng.choice((1, 2, 3)))
-          for _ in range(n)] for _ in range(n)]
+    d = [[None if rng.random() < 0.2 else draw() for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        d[i][i] = Fraction(0)
+        d[i][i] = 0 if ints else Fraction(0)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -329,27 +339,63 @@ def random_matrix(rng):
         if d[i][j] is None or (i == j and rng.random() < 0.8):
             continue
         d[i][j] = rng.choice((
-            d[i][j] + Fraction(1, rng.choice((1, 2, 6))),
-            d[i][j] - Fraction(1, 6),
+            d[i][j] + (1 if ints else Fraction(1, rng.choice((1, 2, 6)))),
+            d[i][j] - (1 if ints else Fraction(1, 6)),
             None,
             0,
             d[i][j] * 2,
         ))
+        if ints:
+            continue
         if rng.random() < 0.3 and d[i][j] is not None and d[i][j].denominator == 1:
             d[i][j] = int(d[i][j])  # ints and Fractions mix
     return d
 
 
 def test_validation_matches_exhaustive_reference():
-    rng = random.Random(20)
-    seen = {"accepted": 0, "triangle": 0, "other": 0}
-    for _ in range(2500):
-        d = random_matrix(rng)
-        expected = reference_refusal(d)
-        assert refusal(d) == expected, d
-        kind = "accepted" if expected is None else "triangle" if "triangle" in expected else "other"
-        seen[kind] += 1
-    assert min(seen.values()) > 100, seen
+    # rational entries (some of them ints), then ints throughout, the form
+    # in which a graph metric is built
+    for seed, ints in ((20, False), (21, True)):
+        rng = random.Random(seed)
+        seen = dict.fromkeys(("accepted", "negative", "must be 0", "distance 0", "triangle"), 0)
+        for _ in range(2500):
+            d = random_matrix(rng, ints)
+            assert not ints or all(x is None or type(x) is int for row in d for x in row)
+            expected = reference_refusal(d)
+            assert refusal(d) == expected, d
+            seen[next((k for k in seen if k in (expected or "")), "accepted")] += 1
+        other = 2500 - seen["accepted"] - seen["triangle"]
+        assert min(seen["accepted"], seen["triangle"], other) > 100, (ints, seen)
+        assert min(seen.values()) > 20, (ints, seen)  # every refusal is met
+
+
+def test_graph_metric_equals_the_space_of_its_fraction_matrix():
+    rng = random.Random(22)
+    graphs = [builtin_graph(name) for name in BUILTIN_NAMES + ["k0", "k1", "icosahedron", "moore2"]]
+    graphs += [random_connected_graph(rng) for _ in range(40)]
+    graphs += [random_strongly_connected_digraph(rng) for _ in range(40)]
+    digraphs = [random_digraph(rng) for _ in range(60)]
+    graphs += digraphs
+    unreachable = 0
+    for g in graphs:
+        s = space_from_graph(g)
+        t = QuasiMetricSpace(floyd_warshall(g.n, {e: 1 for e in g.edges}))
+        assert s.den == t.den == 1
+        assert (s.n, s.units, s.steps, s.min_step) == (t.n, t.units, t.steps, t.min_step)
+        assert [list(m.items()) for m in s.spheres] == [list(m.items()) for m in t.spheres]
+        assert s.d == t.d and s == t and hash(s) == hash(t)
+        unreachable += any(x is None for row in s.d for x in row)
+    assert unreachable > 30 and any(g.n == 0 for g in graphs) and any(g.n == 1 for g in graphs)
+
+
+def test_adjacency_lists_match_a_scan_of_the_edges():
+    rng = random.Random(23)
+    graphs = [builtin_graph(name) for name in BUILTIN_NAMES + ["k1", "icosahedron", "moore2"]]
+    graphs += [random_strongly_connected_digraph(rng) for _ in range(30)]
+    graphs += [random_digraph(rng) for _ in range(30)]
+    for g in graphs:
+        scan = tuple(tuple(sorted(v for (u, v) in g.edges if u == x)) for x in range(g.n))
+        assert g.adjacency == scan
 
 
 def test_first_failing_triple_behind_an_intermediate_point():
