@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
@@ -213,7 +212,8 @@ def cmd_cyclic(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    poset = _poset_from_source(args.poset)
+    with _parsing():
+        poset = posets.load_poset(args.poset)
     ok, failures = posets.check_graded_commutativity(poset, args.kmax)
     return _report(
         ok,
@@ -238,22 +238,6 @@ def cmd_series(args) -> int:
         },
         failures,
     )
-
-
-def _poset_from_source(source: str):
-    if os.path.exists(source):
-        with _parsing(), open(source) as fh:
-            return posets.parse_poset_file(fh.read())
-    name = source.strip().lower()
-    if name == "circle":
-        return posets.circle_poset()
-    if name.startswith("chain") and name[5:].isdecimal():
-        return posets.chain_poset(int(name[5:]))
-    if name.startswith("antichain") and name[9:].isdecimal():
-        return posets.antichain_poset(int(name[9:]))
-    if name.startswith("moore") and name[5:].isdecimal():
-        return posets.moore_poset(int(name[5:]))
-    raise InputError(f"unknown poset {source!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,11 +9,18 @@ admissible simplices are cycles and their classes form a homology basis,
 which makes the dual monomials p_x a basis of the cohomology ring.
 The ring itself is generated by e_x (bidegree (0,0)), a_xy over oriented
 edges ((1,1)), and b_xz over ordered pairs at distance m ((2, m+1)).
+
+Normal form of a word: it is zero unless each token starts where the last
+ended; then the e's drop out.  Inside a maximal run of one direction, a.b =
+b.a carries every a to the run's end, where two a's vanish.  So a run with
+two or more a's is zero, and otherwise its code is (d, dm) per b, then (d)
+for its a: the admissible run sign * (1, m, 1, m, ...) again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .homology import MagnitudeHomology
 from .ring import (
@@ -63,23 +70,20 @@ def simplex_of(x0: int, code: tuple, n: int) -> tuple:
     return tuple(points)
 
 
+def _alternating(sign: int, length: int, m: int) -> list:
+    """The one admissible run of this sign and length: sign * (1, m, 1, m, ...)."""
+    return [sign * (m if t % 2 else 1) for t in range(length)]
+
+
+def _sign_runs(code: tuple):
+    """(sign, run) for each maximal constant-sign run of a code."""
+    for positive, run in groupby(code, key=lambda v: v > 0):
+        yield (1 if positive else -1), list(run)
+
+
 def is_admissible(code: tuple, m: int) -> bool:
     """Maximal constant-sign runs must look like (1, m, 1, m, ...) up to sign."""
-    runs = []
-    for v in code:
-        if abs(v) > m or v == 0:
-            return False
-        if runs and (runs[-1][-1] > 0) == (v > 0):
-            runs[-1].append(v)
-        else:
-            runs.append([v])
-    for run in runs:
-        sign = 1 if run[0] > 0 else -1
-        for t, v in enumerate(run):
-            want = sign * (1 if t % 2 == 0 else m)
-            if v != want:
-                return False
-    return True
+    return all(run == _alternating(sign, len(run), m) for sign, run in _sign_runs(code))
 
 
 def admissible_codes(m: int, k: int, l: int) -> list:
@@ -138,19 +142,12 @@ def admissible_simplices(n: int, k: int, l: int) -> list:
     return sorted(out, key=lambda a: a.simplex)
 
 
-def pieces(code: tuple, m: int) -> list:
-    """Decompose an admissible code into pieces (1), (-1), (1,m), (-1,-m);
-    a +-m entry can only close a piece, so the split is forced."""
-    out = []
-    i = 0
-    while i < len(code):
-        if i + 1 < len(code) and abs(code[i + 1]) == m and (code[i] > 0) == (code[i + 1] > 0):
-            out.append((code[i], code[i + 1]))
-            i += 2
-        else:
-            out.append((code[i],))
-            i += 1
-    return out
+def pieces(code: tuple) -> list:
+    """Decompose an admissible code into pieces (1), (-1), (1,m), (-1,-m):
+    each sign run splits into pairs from its start, so the split is forced."""
+    return [
+        tuple(run[i : i + 2]) for _, run in _sign_runs(code) for i in range(0, len(run), 2)
+    ]
 
 
 def monomial_of(adm: AdmissibleSimplex, n: int) -> list:
@@ -158,10 +155,9 @@ def monomial_of(adm: AdmissibleSimplex, n: int) -> list:
     tokens ('a', x, y) for pieces (+-1) and ('b', x, z) for (+-1, +-m)."""
     if adm.k == 0:
         raise ValueError("monomials are defined for k > 0")
-    m = half(n)
     word = []
     x = adm.simplex[0]
-    for piece in pieces(adm.code, m):
+    for piece in pieces(adm.code):
         y = x
         for i in piece:
             y = step(y, i, n)
@@ -288,85 +284,41 @@ class CyclicRing:
         return phi[idx]
 
 
+def _generators(n: int) -> dict:
+    """Every generator token of C_n with its direction: 0 for e_x, else 1
+    (clockwise) or -1 for a_xy and b_xz."""
+    m = half(n)
+    out = {}
+    for x in range(n):
+        out[("e", x)] = 0
+        for d in (1, -1):
+            out[("a", x, step(x, d, n))] = d
+            out[("b", x, step(x, d * (m + 1), n))] = d
+    return out
+
+
 def reduce_word(word, n: int):
     """Symbolic reduction of a generator word by the presentation relations:
-    returns None for zero, or the admissible simplex with p_x = word."""
+    returns None for zero, or the admissible simplex with p_x = word.  A
+    token that is not a generator of C_n raises, even in a zero word."""
     m = half(n)
-
-    def direction(token):
-        kind, x, y = token
-        off = (y - x) % n
-        if kind == "a":
-            if off == 1:
-                return 1
-            if off == n - 1:
-                return -1
-        else:
-            if off == m + 1:
-                return 1
-            if off == m:
-                return -1
-        raise ValueError(f"not a generator: {token}")
-
-    # e-absorption: e_x e_x = e_x, e_x e_y = 0, e composable with a/b absorbs
-    tokens = list(word)
-    for token in tokens:
-        direction(token) if token[0] != "e" else None
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tokens) - 1):
-            s, t = tokens[i], tokens[i + 1]
-            if s[0] == "e" and t[0] == "e":
-                if s[1] != t[1]:
-                    return None
-                tokens = tokens[: i + 1] + tokens[i + 2 :]
-                changed = True
-                break
-            if s[0] == "e":
-                if s[1] != t[1]:
-                    return None
-                tokens = tokens[:i] + tokens[i + 1 :]
-                changed = True
-                break
-            if t[0] == "e":
-                if s[2] != t[1]:
-                    return None
-                tokens = tokens[: i + 1] + tokens[i + 2 :]
-                changed = True
-                break
-    if len(tokens) == 1 and tokens[0][0] == "e":
-        return AdmissibleSimplex((tokens[0][1],), ())
-    for s, t in zip(tokens, tokens[1:]):
-        if s[2] != t[1]:
-            return None
-    # bubble a's past b's inside each maximal constant-direction factor
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tokens) - 1):
-            s, t = tokens[i], tokens[i + 1]
-            if s[0] == "a" and t[0] == "b" and direction(s) == direction(t):
-                d = direction(s)
-                w = s[1]
-                y = step(w, d * (m + 1), n)
-                z = step(y, d, n)
-                tokens[i] = ("b", w, y)
-                tokens[i + 1] = ("a", y, z)
-                changed = True
-                break
-    # two consecutive same-direction a's vanish (endpoints differ as n is odd)
-    for s, t in zip(tokens, tokens[1:]):
-        if s[0] == "a" and t[0] == "a" and direction(s) == direction(t):
-            return None
-    code = []
-    for token in tokens:
-        d = direction(token)
-        code.extend([d] if token[0] == "a" else [d, d * m])
-    code = tuple(code)
-    if not is_admissible(code, m):
+    if not word:
+        raise ValueError("empty word")
+    known = _generators(n)
+    for token in word:
+        if token not in known:
+            raise ValueError(f"not a generator: {token}")
+    # composable: each token starts where the last ended, e_x being the point x
+    if any(s[-1] != t[1] for s, t in zip(word, word[1:])):
         return None
-    return AdmissibleSimplex(simplex_of(tokens[0][1], code, n), code)
+    code = []
+    for d, run in groupby((t for t in word if t[0] != "e"), key=known.get):
+        kinds = [token[0] for token in run]
+        if kinds.count("a") > 1:  # a.b = b.a brings two a's together: a.a = 0
+            return None
+        code += _alternating(d, 2 * len(kinds) - kinds.count("a"), m)
+    code = tuple(code)
+    return AdmissibleSimplex(simplex_of(word[0][1], code, n), code)
 
 
 def verify_presentation(n: int, kmax: int):

@@ -10,6 +10,8 @@ commutative at class level, which check_graded_commutativity confirms.
 
 from __future__ import annotations
 
+import os
+
 from .homology import BlockComplex
 from .snf import SparseMatrix
 from .spaces import InputError, file_lines, line_ints, moore_covers
@@ -99,6 +101,22 @@ def circle_poset() -> FinitePoset:
     its order complex is a hexagonal circle."""
     covers = [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)]
     return FinitePoset.from_cover_relations(6, covers)
+
+
+def load_poset(source: str) -> FinitePoset:
+    """Resolve a --poset argument: a poset file if the path exists, otherwise
+    a builtin name (circle, chainN, antichainN, mooreP)."""
+    if os.path.exists(source):
+        with open(source) as fh:
+            return parse_poset_file(fh.read())
+    name = source.strip().lower()
+    if name == "circle":
+        return circle_poset()
+    builders = (("chain", chain_poset), ("antichain", antichain_poset), ("moore", moore_poset))
+    for prefix, build in builders:
+        if name.startswith(prefix) and name[len(prefix) :].isdecimal():
+            return build(int(name[len(prefix) :]))
+    raise InvalidPoset(f"unknown poset {source!r}")
 
 
 class OrderComplex(BlockComplex):

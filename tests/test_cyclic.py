@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -67,7 +68,7 @@ def test_low_degree_admissible_counts_on_c5():
 
 def test_piece_decomposition_and_monomial():
     code = (1, 2, 1, -1, 1, 2)
-    assert pieces(code, 2) == [(1, 2), (1,), (-1,), (1, 2)]
+    assert pieces(code) == [(1, 2), (1,), (-1,), (1, 2)]
     adm = AdmissibleSimplex(simplex_of(0, code, 5), code)
     word = monomial_of(adm, 5)
     assert [t[0] for t in word] == ["b", "a", "a", "b"]
@@ -149,33 +150,57 @@ def test_reduce_word_examples():
     # a then b of the same direction bubbles into b then a
     got = reduce_word([("a", 0, 1), ("b", 1, 4)], 5)
     assert got == AdmissibleSimplex((0, 1, 3, 4), (1, 2, 1))
+    # a bad token raises even where the word is zero
+    with pytest.raises(ValueError, match="empty word"):
+        reduce_word([], 5)
+    for bad in [("e", 7)], [("a", 5, 6)], [("a", 0, 2)], [("a", 0, 1), ("e", 3), ("b", 1, -2)]:
+        with pytest.raises(ValueError, match=re.escape(str(bad[-1]))):
+            reduce_word(bad, 5)
 
 
-def test_every_word_reduces_to_zero_or_monomial():
-    n = 5
-    generators = []
+def _ab_generators(n):
+    m = half(n)
+    out = []
     for x in range(n):
-        generators.append(("a", x, (x + 1) % n))
-        generators.append(("a", x, (x - 1) % n))
-        generators.append(("b", x, (x + 3) % n))  # offset m+1 = 3: clockwise
-        generators.append(("b", x, (x + 2) % n))  # offset m = 2: anticlockwise
-    count = 0
-    for length in (1, 2, 3, 4):
+        out.append(("a", x, (x + 1) % n))
+        out.append(("a", x, (x - 1) % n))
+        out.append(("b", x, (x + m + 1) % n))  # offset m+1: clockwise
+        out.append(("b", x, (x + m) % n))  # offset m: anticlockwise
+    return out
+
+
+def _composable_words(n, max_length, start=None):
+    generators = _ab_generators(n)
+    for length in range(1, max_length + 1):
         for word in itertools.product(generators, repeat=length):
-            if any(a[2] != b[1] for a, b in zip(word, word[1:])):
-                continue
-            count += 1
-            reduced = reduce_word(list(word), n)
-            if reduced is not None:
-                assert is_admissible(reduced.code, 2)
-    assert count > 300
+            if (start is None or word[0][1] == start) and all(
+                a[2] == b[1] for a, b in zip(word, word[1:])
+            ):
+                yield list(word)
 
 
-def test_word_reduction_agrees_with_engine_products():
-    n = 5
+@pytest.mark.parametrize("n, max_length", [(5, 4), (7, 3), (9, 3)])
+def test_every_word_reduces_to_zero_or_monomial(n, max_length):
+    m = half(n)
+    count = 0
+    for word in _composable_words(n, max_length):
+        count += 1
+        reduced = reduce_word(word, n)
+        if reduced is not None:
+            assert is_admissible(reduced.code, m)
+            # the monomial joins the word's ends in the word's bidegree
+            assert (reduced.simplex[0], reduced.simplex[-1]) == (word[0][1], word[-1][2])
+            kinds = [token[0] for token in word]
+            assert reduced.k == len(word) + kinds.count("b")
+            assert reduced.l == len(word) + m * kinds.count("b")
+    # four generators leave each vertex
+    assert count == n * sum(4**length for length in range(1, max_length + 1))
+
+
+@pytest.mark.parametrize("n, max_length", [(5, 3), (7, 2)])
+def test_word_reduction_agrees_with_engine_products(n, max_length):
     ring = CyclicRing(n)
-    engine = ring.engine
-    words = [
+    hand = [
         [("a", 0, 1), ("a", 1, 0)],
         [("a", 0, 1), ("a", 1, 2)],
         [("a", 0, 1), ("b", 1, 4)],
@@ -184,13 +209,16 @@ def test_word_reduction_agrees_with_engine_products():
         [("a", 0, 1), ("a", 1, 0), ("a", 0, 1)],
         [("a", 0, 4), ("b", 4, 2)],
     ]
-    for word in words:
+    every = list(_composable_words(n, max_length, start=0))
+    assert len(every) == sum(4**length for length in range(1, max_length + 1))
+    for word in (hand if n == 5 else []) + every:
         product = ring.word_class(word)
         reduced = reduce_word(word, n)
         if reduced is None:
             assert not any(product.coords), word
         else:
             # the product must pair as delta against the Gu basis at its bidegree
+            assert (product.k, product.l) == (reduced.k, reduced.l), word
             adms = admissible_simplices(n, reduced.k, reduced.l)
             pairings = [ring.pair_with_simplex(product, a.simplex) for a in adms]
             assert pairings == [1 if a == reduced else 0 for a in adms], word

@@ -12,6 +12,8 @@ from magnitude.posets import (
     chain_poset,
     check_graded_commutativity,
     circle_poset,
+    load_poset,
+    moore_poset,
     parse_poset_file,
     poset_cup,
     unit_cochain,
@@ -77,6 +79,19 @@ def test_poset_file():
         parse_poset_file("")
     with pytest.raises(ValueError):
         parse_poset_file("2\n0 > 1\n")
+
+
+def test_load_poset_resolves_files_and_names(tmp_path):
+    path = tmp_path / "chain.poset"
+    path.write_text("3\n0 < 1\n1 < 2\n")
+    assert load_poset(str(path)).leq == chain_poset(3).leq
+    assert load_poset(" Circle ").leq == circle_poset().leq
+    assert load_poset("chain4").leq == chain_poset(4).leq
+    assert load_poset("antichain3").leq == antichain_poset(3).leq
+    assert load_poset("moore2").leq == moore_poset(2).leq
+    for name in ("chain", "antichainx", "torus"):
+        with pytest.raises(InvalidPoset, match=f"unknown poset '{name}'"):
+            load_poset(name)
 
 
 def test_index_reversed_poset():
