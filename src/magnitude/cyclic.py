@@ -9,6 +9,9 @@ admissible simplices are cycles and their classes form a homology basis,
 which makes the dual monomials p_x a basis of the cohomology ring.
 The ring itself is generated by e_x (bidegree (0,0)), a_xy over oriented
 edges ((1,1)), and b_xz over ordered pairs at distance m ((2, m+1)).
+`_generators` is the one table of these tokens; each one's class is the
+Kronecker dual of its one-token normal form, and `verify_presentation`
+checks the relations, the products of composable pairs, against `reduce_word`.
 
 Normal form of a word: it is zero unless each token starts where the last
 ended; then the e's drop out.  Inside a maximal run of one direction, a.b =
@@ -20,7 +23,8 @@ for its a: the admissible run sign * (1, m, 1, m, ...) again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from functools import reduce
+from itertools import groupby, product
 
 from .homology import MagnitudeHomology
 from .ring import (
@@ -213,80 +217,9 @@ def verify_gu_basis(n: int, kmax: int):
     return not failures, failures
 
 
-def _oriented_edges(n: int):
-    return [(x, step(x, s, n)) for x in range(n) for s in (1, -1)]
-
-
-def _b_pairs(n: int):
-    """Ordered pairs (x, z) at distance m, with the intermediate y of the
-    admissible 2-simplex (x, y, z)."""
-    m = half(n)
-    out = []
-    for x in range(n):
-        for s in (1, -1):
-            z = step(x, s * (m + 1), n)  # circular offset s(m+1), distance m
-            y = step(x, s, n)
-            out.append((x, z, y))
-    return out
-
-
-class CyclicRing:
-    """Generator classes of MH(C_n) instantiated inside the engine."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.m = half(n)
-        self.space = cycle_space(n)
-        self.engine = MagnitudeHomology(self.space)
-        self.e = {}
-        self.a = {}
-        self.b = {}
-        self._instantiate()
-
-    def _cycle_class(self, simplex: tuple, l) -> HomologyClass:
-        k = len(simplex) - 1
-        chain = [0] * len(self.engine.simplices(k, l))
-        chain[self.engine.index(k, l)[simplex]] = 1
-        return cycle_class_of(self.engine, chain, k, l)
-
-    def _instantiate(self):
-        n, m = self.n, self.m
-        point_classes = [self._cycle_class((x,), 0) for x in range(n)]
-        for x, cls in zip(range(n), dual_classes(self.engine, point_classes)):
-            self.e[x] = cls
-        edges = _oriented_edges(n)
-        edge_classes = [self._cycle_class(edge, 1) for edge in edges]
-        for edge, cls in zip(edges, dual_classes(self.engine, edge_classes)):
-            self.a[edge] = cls
-        bs = _b_pairs(n)
-        b_classes = [self._cycle_class((x, y, z), m + 1) for (x, z, y) in bs]
-        for (x, z, _y), cls in zip(bs, dual_classes(self.engine, b_classes)):
-            self.b[(x, z)] = cls
-
-    def generator(self, token) -> RingClass:
-        kind = token[0]
-        if kind == "e":
-            return self.e[token[1]]
-        if kind == "a":
-            return self.a[(token[1], token[2])]
-        return self.b[(token[1], token[2])]
-
-    def word_class(self, word) -> RingClass:
-        out = self.generator(word[0])
-        for token in word[1:]:
-            out = class_product(self.engine, out, self.generator(token))
-        return out
-
-    def pair_with_simplex(self, alpha: RingClass, simplex: tuple) -> int:
-        """Kronecker pairing against the (cycle) indicator chain."""
-        phi = representative(self.engine, alpha).coords
-        idx = self.engine.index(alpha.k, alpha.l)[simplex]
-        return phi[idx]
-
-
 def _generators(n: int) -> dict:
-    """Every generator token of C_n with its direction: 0 for e_x, else 1
-    (clockwise) or -1 for a_xy and b_xz."""
+    """The generator table of C_n: every token with its direction, 0 for
+    e_x, else 1 (clockwise) or -1 for a_xy and b_xz."""
     m = half(n)
     out = {}
     for x in range(n):
@@ -297,6 +230,14 @@ def _generators(n: int) -> dict:
     return out
 
 
+def _lookup(table: dict, token):
+    """table[token] for a generator token; ValueError for anything else."""
+    try:
+        return table[token]
+    except (KeyError, TypeError):  # TypeError: an unhashable token, such as a list
+        raise ValueError(f"not a generator: {token}") from None
+
+
 def reduce_word(word, n: int):
     """Symbolic reduction of a generator word by the presentation relations:
     returns None for zero, or the admissible simplex with p_x = word.  A
@@ -305,9 +246,8 @@ def reduce_word(word, n: int):
     if not word:
         raise ValueError("empty word")
     known = _generators(n)
-    for token in word:
-        if token not in known:
-            raise ValueError(f"not a generator: {token}")
+    for token in word:  # raises on a token outside the table
+        _lookup(known, token)
     # composable: each token starts where the last ended, e_x being the point x
     if any(s[-1] != t[1] for s, t in zip(word, word[1:])):
         return None
@@ -321,60 +261,89 @@ def reduce_word(word, n: int):
     return AdmissibleSimplex(simplex_of(word[0][1], code, n), code)
 
 
+def _normal_word(adm: AdmissibleSimplex, n: int) -> list:
+    """The generator word of an admissible simplex: e_x at a point, else its
+    monomial."""
+    return monomial_of(adm, n) if adm.k else [("e", adm.simplex[0])]
+
+
+class CyclicRing:
+    """Generator classes of MH(C_n) instantiated inside the engine.
+
+    `classes` maps each token of `_generators(n)` to the Kronecker dual of
+    the cycle of its one-token normal form, among the tokens of the same
+    bidegree."""
+
+    def __init__(self, n: int):
+        self.engine = MagnitudeHomology(cycle_space(n))
+        groups = {}
+        for token in _generators(n):
+            adm = reduce_word([token], n)
+            groups.setdefault((adm.k, adm.l), []).append((token, adm.simplex))
+        self.classes = {}
+        for (_, l), members in groups.items():
+            cycles = [self._cycle_class(simplex, l) for _, simplex in members]
+            for (token, _), cls in zip(members, dual_classes(self.engine, cycles)):
+                self.classes[token] = cls
+
+    def _cycle_class(self, simplex: tuple, l) -> HomologyClass:
+        k = len(simplex) - 1
+        chain = [0] * len(self.engine.simplices(k, l))
+        chain[self.engine.index(k, l)[simplex]] = 1
+        return cycle_class_of(self.engine, chain, k, l)
+
+    def generator(self, token) -> RingClass:
+        return _lookup(self.classes, token)
+
+    def word_class(self, word) -> RingClass:
+        if not word:
+            raise ValueError("empty word")
+        classes = [self.generator(token) for token in word]
+        return reduce(lambda x, y: class_product(self.engine, x, y), classes)
+
+    def pair_with_simplex(self, alpha: RingClass, simplex: tuple) -> int:
+        """Kronecker pairing against the (cycle) indicator chain."""
+        phi = representative(self.engine, alpha).coords
+        idx = self.engine.index(alpha.k, alpha.l)[simplex]
+        return phi[idx]
+
+
 def verify_presentation(n: int, kmax: int):
-    """Check every relation of the cyclic presentation, the Kronecker duality
-    <p_x, [y]> = delta, and the per-bidegree monomial counts; (ok, failures)."""
+    """Check every relation of the cyclic presentation against `reduce_word`,
+    the Kronecker duality <p_x, [y]> = delta, and the per-bidegree monomial
+    counts; (ok, failures)."""
     ring = CyclicRing(n)
-    n_, m = ring.n, ring.m
+    m = half(n)
     engine = ring.engine
     failures = []
 
-    def expect_equal(lhs: RingClass, rhs: RingClass, label: str):
-        if lhs != rhs:
-            failures.append(f"{label}: {lhs} != {rhs}")
-
-    def expect_zero(cls: RingClass, label: str):
-        if any(cls.coords):
-            failures.append(f"{label}: nonzero {cls.coords}")
-
-    prod = lambda x, y: class_product(engine, x, y)
-
-    for x in range(n_):
-        expect_equal(prod(ring.e[x], ring.e[x]), ring.e[x], f"e_{x}^2 = e_{x}")
-        for y in range(n_):
-            if x != y:
-                expect_zero(prod(ring.e[x], ring.e[y]), f"e_{x} e_{y} = 0")
-    for (x, y), axy in ring.a.items():
-        expect_equal(prod(ring.e[x], axy), axy, f"e_{x} a_{x}{y}")
-        expect_equal(prod(axy, ring.e[y]), axy, f"a_{x}{y} e_{y}")
-    for (x, z), bxz in ring.b.items():
-        expect_equal(prod(ring.e[x], bxz), bxz, f"e_{x} b_{x}{z}")
-        expect_equal(prod(bxz, ring.e[z]), bxz, f"b_{x}{z} e_{z}")
-    for (x, y), axy in ring.a.items():
-        for (y2, z), ayz in ring.a.items():
-            if y2 == y and z != x:
-                expect_zero(prod(axy, ayz), f"a_{x}{y} a_{y}{z} = 0")
-    for w in range(n_):
-        for s in (1, -1):
-            x = step(w, s, n_)
-            y = step(w, s * (m + 1), n_)
-            z = step(w, s * (m + 2), n_)
-            lhs = prod(ring.a[(w, x)], ring.b[(x, z)])
-            rhs = prod(ring.b[(w, y)], ring.a[(y, z)])
-            expect_equal(lhs, rhs, f"a_{w}{x} b_{x}{z} = b_{w}{y} a_{y}{z}")
+    # one relation per pair of generators that compose or are both idempotents:
+    # a zero word must multiply to zero, a rewritten word to its normal form
+    for g, h in product(_generators(n), repeat=2):
+        if g[-1] != h[1] and not g[0] == h[0] == "e":
+            continue
+        reduced = reduce_word([g, h], n)
+        word = None if reduced is None else _normal_word(reduced, n)
+        if word == [g, h]:  # already a normal form, such as b.b or a_xy a_yx
+            continue
+        got = class_product(engine, ring.generator(g), ring.generator(h))
+        if word is None:
+            if any(got.coords):
+                failures.append(f"{g} {h} = 0: nonzero {got.coords}")
+            continue
+        want = ring.word_class(word)
+        if got != want:
+            failures.append(f"{g} {h} = {word}: {got} != {want}")
 
     # Kronecker duality of monomials against the Gu basis, plus span counts
     for k in range(kmax + 1):
         for l in _grades_for_degree(m, k):
-            adms = admissible_simplices(n_, k, l)
+            adms = admissible_simplices(n, k, l)
             group = engine.cohomology(k, l)
             if group.torsion or group.rank != len(adms):
                 failures.append(f"({k},{l}): monomial count vs rank {group}")
             for adm in adms:
-                if k == 0:
-                    p = ring.e[adm.simplex[0]]
-                else:
-                    p = ring.word_class(monomial_of(adm, n_))
+                p = ring.word_class(_normal_word(adm, n))
                 if (p.k, p.l) != (k, l):
                     failures.append(f"p_{adm.simplex} lands in ({p.k},{p.l})")
                     continue

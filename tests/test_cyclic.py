@@ -6,6 +6,7 @@ import pytest
 from magnitude.cyclic import (
     AdmissibleSimplex,
     CyclicRing,
+    _generators,
     admissible_codes,
     admissible_simplices,
     code_of,
@@ -227,3 +228,38 @@ def test_word_reduction_agrees_with_engine_products(n, max_length):
 def test_presentation_small():
     ok, failures = verify_presentation(5, 2)
     assert ok, failures
+
+
+def test_generator_table_refuses_other_tokens():
+    ring = CyclicRing(5)
+    for bad in ("x", 0, 3), ("e", 7), ("a", 5, 6), ("a", 0, 2), ["a", 0, 1]:
+        message = re.escape(f"not a generator: {bad}")
+        with pytest.raises(ValueError, match=message):
+            ring.generator(bad)
+        with pytest.raises(ValueError, match=message):
+            ring.word_class([bad])
+    with pytest.raises(ValueError, match="empty word"):
+        ring.word_class([])
+    with pytest.raises(ValueError, match=re.escape("not a generator: ['a', 0, 1]")):
+        reduce_word([["a", 0, 1]], 5)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_each_generator_is_dual_to_its_normal_form(n):
+    ring = CyclicRing(n)
+    for token in _generators(n):
+        own = reduce_word([token], n)
+        cls = ring.generator(token)
+        assert (cls.k, cls.l) == (own.k, own.l), token
+        adms = admissible_simplices(n, own.k, own.l)
+        pairings = [ring.pair_with_simplex(cls, a.simplex) for a in adms]
+        assert pairings == [1 if a == own else 0 for a in adms], token
+
+
+def test_presentation_catches_a_reversed_product(monkeypatch):
+    import magnitude.cyclic as cyclic
+
+    product = cyclic.class_product
+    monkeypatch.setattr(cyclic, "class_product", lambda engine, x, y: product(engine, y, x))
+    ok, failures = verify_presentation(5, 2)
+    assert not ok and failures
